@@ -77,7 +77,7 @@ def parse_count(text: str) -> int:
         value = float(text)
     except ValueError:
         raise UsageError(f"cannot parse count {text!r}") from None
-    if value < 1 or value != int(value):
+    if not math.isfinite(value) or value < 1 or value != int(value):
         raise UsageError(f"count must be a positive integer, got {text!r}")
     return int(value)
 
@@ -246,6 +246,10 @@ def _chi2_blocks(args, n_bits: int) -> list[int]:
 
 
 def cmd_analyze(args) -> int:
+    tests = args.tests.split(",")
+    unknown = set(tests) - {"chi2", "borel"}
+    if unknown:
+        raise UsageError(f"unknown tests: {', '.join(sorted(unknown))}")
     out = _out_dir(args)
     results: dict = {}
     if args.stream:
@@ -259,16 +263,12 @@ def cmd_analyze(args) -> int:
         bits = read_bits(args.infile)
     else:
         raise UsageError("analyze needs --in or --stream")
-    tests = args.tests.split(",")
     reports = []
     if "chi2" in tests:
         for k in _chi2_blocks(args, len(bits)):
             reports.append(chi2_uniformity(bits, k, alpha=args.alpha))
     if "borel" in tests:
         reports.extend(borel_normality(bits))
-    unknown = set(tests) - {"chi2", "borel"}
-    if unknown:
-        raise UsageError(f"unknown tests: {', '.join(sorted(unknown))}")
     write_json(out / "reports.json", [r.to_dict() for r in reports])
     write_reports_csv(out / "reports.csv", reports)
     _write_manifest(

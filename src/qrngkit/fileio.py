@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +40,24 @@ __all__ = [
 ]
 
 
-def atomic_write_bytes(path, payload: bytes) -> Path:
+@contextmanager
+def _atomic_open(path):
+    """Binary handle on a temp file that replaces ``path`` only if the block succeeds."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-    return path
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_bytes(path, payload: bytes) -> Path:
+    with _atomic_open(path) as fh:
+        fh.write(payload)
+    return Path(path)
 
 
 def _atomic_write_text(path, text: str) -> Path:
@@ -90,30 +104,84 @@ def read_bits(path) -> BitString:
 # --- pair streams ----------------------------------------------------------------
 
 
+# Streams are written in chunks of _WRITE_CHUNK records and read in chunks of
+# about _READ_CHUNK bytes of lines, so neither side makes a Python call per
+# record nor holds more than one chunk of text.
+_WRITE_CHUNK = 1 << 16
+_READ_CHUNK = 1 << 22
+# Same text as json.dumps(..., separators=(",", ":")): json formats a finite
+# float with float.__repr__, and PairStream holds only finite times.
+_RECORD = '{"t":%r,"a":%d,"b":%d}\n'
+_BAD_RECORD = (ValueError, KeyError, OverflowError, RecursionError)
+
+
 def write_stream_ndjson(path, stream: PairStream) -> Path:
-    lines = [
-        json.dumps({"t": float(t), "a": int(a), "b": int(b)}, separators=(",", ":"))
-        for t, a, b in zip(stream.t, stream.a, stream.b)
-    ]
-    return _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    with _atomic_open(path) as fh:
+        for lo in range(0, len(stream), _WRITE_CHUNK):
+            cols = (c[lo : lo + _WRITE_CHUNK].tolist() for c in (stream.t, stream.a, stream.b))
+            fh.write("".join([_RECORD % rec for rec in zip(*cols)]).encode("ascii"))
+    return Path(path)
+
+
+def _parse_records(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of the records on ``lines``, parsed with one json.loads.
+
+    Blank lines are skipped. Raises one of _BAD_RECORD unless every other
+    line is exactly one object with the keys t, a, b, where t is a finite
+    JSON number and a, b are the JSON integers 0 or 1.
+    """
+    kept = list(filter(None, map(bytes.strip, lines)))
+    blob = b"\n,".join(kept)
+    # Every line must be one {...} holding no other brace. Lines hold no
+    # newline, so the count of "}\n,{" checks every join at once; together
+    # these make each array element below the record of exactly one line.
+    n = len(kept)
+    if n and not (
+        blob[:1] == b"{" and blob[-1:] == b"}"
+        and blob.count(b"{") == blob.count(b"}") == n
+        and blob.count(b"}\n,{") == n - 1
+    ):
+        raise ValueError("not one {...} object per line")
+    recs = json.loads("[" + blob.decode("ascii") + "]")
+    if set(map(len, recs)) - {3}:
+        raise ValueError("records hold exactly the keys t, a, b")
+    t, a, b = (list(map(itemgetter(key), recs)) for key in "tab")
+    bits = a + b
+    if set(map(type, t)) - {int, float} or set(map(type, bits)) - {int} or set(bits) - {0, 1}:
+        raise ValueError("t must be a number and a, b the integers 0 or 1")
+    t = np.array(t, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
+    return t, np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
+
+
+def _parses(line: bytes) -> bool:
+    try:
+        _parse_records([line])
+    except _BAD_RECORD:
+        return False
+    return True
 
 
 def read_stream_ndjson(path) -> PairStream:
-    ts, aa, bb = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    chunks = []
+    lineno = 0  # lines before the current chunk, blank ones included
+    with open(path, "rb") as fh:
+        while lines := fh.readlines(_READ_CHUNK):
             try:
-                rec = json.loads(line)
-                ts.append(float(rec["t"]))
-                aa.append(int(rec["a"]))
-                bb.append(int(rec["b"]))
-            except (ValueError, TypeError, KeyError):
-                raise InputFormatError(f"{path}:{lineno}: expected {{t,a,b}} record") from None
+                chunks.append(_parse_records(lines))
+            except _BAD_RECORD:
+                # A chunk fails exactly when one of its lines fails alone.
+                bad = next(i for i, line in enumerate(lines, start=1) if not _parses(line))
+                raise InputFormatError(
+                    f"{path}:{lineno + bad}: expected a {{t,a,b}} record with a finite "
+                    "number t and a, b each 0 or 1"
+                ) from None
+            lineno += len(lines)
+    columns = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
     try:
-        return PairStream(np.array(ts), np.array(aa, dtype=np.uint8), np.array(bb, dtype=np.uint8))
-    except (UsageError, OverflowError) as exc:
+        return PairStream(*columns)
+    except UsageError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
 
 

@@ -36,6 +36,8 @@ class PairStream:
         b = np.ascontiguousarray(b, dtype=np.uint8)
         if not (t.ndim == a.ndim == b.ndim == 1) or not (t.size == a.size == b.size):
             raise UsageError("stream columns must be 1-d and equally long")
+        if not np.isfinite(t).all():
+            raise UsageError("record times must be finite")
         if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
             raise UsageError("record times must be non-negative and strictly increasing")
         if a.size and (a.max() > 1 or b.max() > 1):

@@ -62,9 +62,14 @@ def test_parse_angle_rejects(bad):
 def test_parse_count():
     assert parse_count("42") == 42
     assert parse_count("1e6") == 1_000_000
-    for bad in ("0", "-3", "2.5", "many"):
+    for bad in ("0", "-3", "2.5", "many", "1e400", "inf", "-inf", "nan"):
         with pytest.raises(UsageError):
             parse_count(bad)
+
+
+def test_overflowing_count_is_a_usage_error(tmp_path):
+    assert run_cli("simulate", "--pairs", "1e400", "--out-dir", tmp_path) == 2
+    assert not (tmp_path / "stream.ndjson").exists()
 
 
 # --- exact -------------------------------------------------------------------------
@@ -188,6 +193,17 @@ def test_extract_von_neumann_from_file(tmp_path):
     assert (r["in"], r["out"], r["discarded"]) == (8, 2, 6)
 
 
+@pytest.mark.parametrize(
+    "bad", ['"t":NaN,"a":1,"b":1', '"t":0.2,"a":1.7,"b":1', '"t":0.2,"a":0,"b":true']
+)
+def test_extract_rejects_coerced_stream_records(tmp_path, bad):
+    stream = tmp_path / "s.ndjson"
+    stream.write_text('{"t":0.1,"a":1,"b":0}\n{' + bad + '}\n')
+    assert run_cli("extract", "--method", "xor", "--stream", stream,
+                   "--out-dir", tmp_path) == 4
+    assert not (tmp_path / "extracted.bits").exists()
+
+
 def test_extract_xor_of_identical_streams_is_zero(tmp_path):
     stream = tmp_path / "s.ndjson"
     stream.write_text(
@@ -270,10 +286,16 @@ def test_analyze_stream_estimates_the_angle(tmp_path):
     assert any(r[0] == "borel_normality" for r in rows)
 
 
-def test_analyze_rejects_unknown_test_names(tmp_path):
+def test_analyze_rejects_unknown_test_names(tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a statistic ran before the test names were checked")
+
+    monkeypatch.setattr("qrngkit.cli.chi2_uniformity", must_not_run)
+    monkeypatch.setattr("qrngkit.cli.borel_normality", must_not_run)
     write_bits(tmp_path / "z.bits", BitString.zeros(400))
     assert run_cli("analyze", "--in", tmp_path / "z.bits", "--tests", "chi2,runs",
                    "--out-dir", tmp_path) == 2
+    assert not (tmp_path / "reports.json").exists()
 
 
 def test_analyze_needs_some_input(tmp_path):

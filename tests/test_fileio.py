@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qrngkit import fileio
 from qrngkit import (
     BitString,
     ExactDistribution,
@@ -138,6 +141,162 @@ def test_stream_reader_skips_blank_lines(tmp_path):
     p = tmp_path / "s.ndjson"
     p.write_text('{"t":0.5,"a":0,"b":1}\n\n{"t":1.0,"a":1,"b":0}\n')
     assert len(read_stream_ndjson(p)) == 2
+
+
+def _stream(t):
+    t = np.asarray(t, dtype=np.float64)
+    bits = np.arange(t.size, dtype=np.uint8)
+    return PairStream(t, bits & 1, (bits >> 1) & 1)
+
+
+def _reference_ndjson(stream) -> bytes:
+    """The stream text as one json.dumps call per record would write it."""
+    return "".join(
+        json.dumps({"t": float(t), "a": int(a), "b": int(b)}, separators=(",", ":")) + "\n"
+        for t, a, b in zip(stream.t, stream.a, stream.b)
+    ).encode("ascii")
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 4 records when writing and about 64 bytes (3 lines) when reading."""
+    monkeypatch.setattr(fileio, "_WRITE_CHUNK", 4)
+    monkeypatch.setattr(fileio, "_READ_CHUNK", 64)
+
+
+def test_stream_writer_matches_json_dumps_across_chunks(tmp_path, small_chunks):
+    # 0.1 + 0.2 = 0.30000000000000004 needs 17 digits; 1e-7 and 1e16 switch
+    # repr to exponent form; 5e-324 is the smallest subnormal; 2.0, 3.0 and
+    # 1e15 are integral floats, written with a trailing ".0".
+    rng = np.random.default_rng(3)
+    middle = 0.1 + 0.2 + np.cumsum(rng.exponential(1e-6, 5 * fileio._WRITE_CHUNK))
+    s = _stream(np.concatenate([
+        [0.0, 5e-324, 1e-7, 0.1 + 0.2], middle, [2.0, 3.0, 1e15, 1e16, 1e22, 1.7976931348623157e308]
+    ]))
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, s)
+    text = p.read_bytes()
+    assert text == _reference_ndjson(s)
+    assert b'{"t":5e-324,' in text and b'{"t":0.30000000000000004,' in text
+    assert b'{"t":1e+16,' in text and b'{"t":2.0,' in text
+    assert read_stream_ndjson(p) == s
+
+
+def test_stream_round_trip_across_chunk_boundaries(tmp_path, small_chunks):
+    for n in range(13):
+        s = _stream(np.arange(n) * 0.25 + 0.1)
+        p = tmp_path / f"s{n}.ndjson"
+        write_stream_ndjson(p, s)
+        assert p.read_bytes() == _reference_ndjson(s)
+        assert read_stream_ndjson(p) == s
+
+
+def test_bad_record_in_second_chunk_reports_file_line_number(tmp_path, small_chunks):
+    lines = [f'{{"t":{i}.5,"a":0,"b":1}}' for i in range(10)]
+    lines[4] = '{"t":4.5,"a":0,"b":true}'  # second chunk: lines 4 to 6
+    p = tmp_path / "s.ndjson"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:5:"):
+        read_stream_ndjson(p)
+    # blank lines before the bad record count too
+    p.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:7:"):
+        read_stream_ndjson(p)
+
+
+@pytest.mark.parametrize("blank", range(8))
+def test_blank_line_at_every_position_near_a_chunk_boundary(tmp_path, small_chunks, blank):
+    lines = [f'{{"t":{i}.5,"a":1,"b":0}}' for i in range(8)]
+    lines.insert(blank, "")
+    p = tmp_path / "s.ndjson"
+    p.write_text("\n".join(lines) + "\n")
+    assert read_stream_ndjson(p) == PairStream(
+        np.arange(8) + 0.5, np.ones(8, np.uint8), np.zeros(8, np.uint8)
+    )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"t":NaN,"a":0,"b":1}',
+        '{"t":Infinity,"a":0,"b":1}',
+        '{"t":-Infinity,"a":0,"b":1}',
+        '{"t":1e400,"a":0,"b":1}',
+        '{"t":' + "9" * 400 + ',"a":0,"b":1}',
+        '{"t":"2.0","a":0,"b":1}',
+        '{"t":true,"a":0,"b":1}',
+        '{"t":null,"a":0,"b":1}',
+        '{"t":2.0,"a":1.7,"b":1}',
+        '{"t":2.0,"a":1.0,"b":1}',
+        '{"t":2.0,"a":0,"b":true}',
+        '{"t":2.0,"a":0,"b":"1"}',
+        '{"t":2.0,"a":2,"b":1}',
+        '{"t":2.0,"a":-1,"b":1}',
+        '{"t":2.0,"a":0}',
+        '{"t":2.0,"a":0,"b":1,"c":0}',
+        '{"t":2.0,"a":0,"b":1},{"t":3.0,"a":0,"b":1}',
+        '{"t":2.0,"a":0,\n"b":1}',
+        # one record split over two lines plus two records on one line: the
+        # whole chunk would parse as an array of as many records as lines
+        '{"t":2.0,"a":0\n"b":1}\n{"t":3.0,"a":0,"b":1},{"t":4.0,"a":0,"b":1}',
+        '[2.0,0,1]',
+        '{"t":2.0,"a":0,"b":1}}',
+    ],
+)
+def test_stream_reader_rejects_malformed_records_with_line_number(tmp_path, bad):
+    p = tmp_path / "s.ndjson"
+    p.write_text('{"t":0.5,"a":0,"b":1}\n' + bad + '\n{"t":9.5,"a":1,"b":1}\n')
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:2:"):
+        read_stream_ndjson(p)
+
+
+def test_stream_reader_rejects_non_ascii_bytes(tmp_path):
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(b'{"t":0.5,"a":0,"b":1}\n{"t":1.5,"a":0,"b":1}\xff\n')
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:2:"):
+        read_stream_ndjson(p)
+
+
+def test_stream_reader_accepts_spaces_and_crlf(tmp_path):
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(b'  { "b": 1, "a": 0, "t": 0.5 }\r\n{"t":2,"a":1,"b":0}')
+    assert read_stream_ndjson(p) == PairStream(
+        np.array([0.5, 2.0]), np.array([0, 1], np.uint8), np.array([1, 0], np.uint8)
+    )
+
+
+def test_failed_stream_write_leaves_no_file(tmp_path, small_chunks):
+    s = _stream(np.arange(10) + 0.5)
+    s.b = s.b.astype(object)
+    s.b[6] = "not a bit"  # formatting fails in the second chunk
+    p = tmp_path / "stream.ndjson"
+    with pytest.raises(TypeError):
+        write_stream_ndjson(p, s)
+    assert list(tmp_path.iterdir()) == []
+    # an earlier file under the target name survives untouched
+    p.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_stream_ndjson(p, s)
+    assert [f.name for f in tmp_path.iterdir()] == ["stream.ndjson"]
+    assert p.read_bytes() == b"old"
+
+
+_FRAGMENTS = [b'{"t":', b'"a":', b'"b":', b",", b"}", b"{", b"[", b"]", b"\n", b"\r", b" ",
+              b"0", b"1", b"2", b"0.5", b"-1", b"1e400", b"NaN", b"true", b'"x"', b"\xff"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=200),
+                 st.lists(st.sampled_from(_FRAGMENTS), max_size=60).map(b"".join)))
+def test_stream_reader_parses_or_raises_input_format_error(tmp_path, raw):
+    p = tmp_path / "fuzz.ndjson"
+    p.write_bytes(raw)
+    try:
+        s = read_stream_ndjson(p)
+    except InputFormatError:
+        return
+    assert isinstance(s, PairStream)
 
 
 # --- reports -------------------------------------------------------------------

@@ -44,6 +44,9 @@ def test_stream_validation():
         PairStream(t, z, np.array([0, 1, 2], dtype=np.uint8))
     with pytest.raises(UsageError):
         PairStream(t, z[:2], z)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(UsageError, match="finite"):
+            PairStream(np.array([0.0, 1.0, bad]), z, z)
 
 
 def test_stream_access():
