@@ -11,6 +11,7 @@ from .bitstring import BitString, count_bits, hamming_distance
 from .config import DETECTOR_NAMES, DriftSpec, QrngConfig
 from .errors import InputFormatError, ResourceBudgetError, UsageError
 from .exact import (
+    DENSE_LAW_CAP,
     ENUMERATION_CAP,
     BiasParams,
     ExactDistribution,
@@ -24,6 +25,7 @@ from .exact import (
     xor_bias,
     xor_distribution,
     xor_distribution_closed_form,
+    xor_distribution_transfer,
     xor_expectation_classical,
     xor_expectation_quantum,
 )
@@ -84,6 +86,7 @@ __all__ = [
     "UsageError",
     "ResourceBudgetError",
     "InputFormatError",
+    "DENSE_LAW_CAP",
     "ENUMERATION_CAP",
     "BiasParams",
     "ExactDistribution",
@@ -94,6 +97,7 @@ __all__ = [
     "xor_bias",
     "xor_distribution",
     "xor_distribution_closed_form",
+    "xor_distribution_transfer",
     "tv_distance",
     "l1_distance",
     "xor_expectation_quantum",

@@ -1,10 +1,13 @@
 """Exact output distributions of the entangled-pair generator.
 
-Two independent routes are kept deliberately separate so they can check each
-other. The enumeration route (`joint_distribution`, `xor_distribution`) sums
-per-pair weights over the full outcome space and normalizes by the brute
-total. The closed-form route (`pair_prob`, `marginal_bias`, `xor_bias`,
-`xor_distribution_closed_form`) evaluates the analytic formulas directly.
+Three routes are kept deliberately separate so they can check each other.
+The transfer route (`xor_distribution_transfer`, the one `qrngkit exact`
+uses) runs a forward recursion over the pair chains the offset XOR reads.
+The enumeration route (`joint_distribution`, `xor_distribution`) is the
+oracle: it sums per-pair weights over the full outcome space and normalizes
+by the brute total. The closed-form route (`pair_prob`, `marginal_bias`,
+`xor_bias`, `xor_distribution_closed_form`) evaluates the analytic formulas
+directly.
 
 Single-pair law
 ---------------
@@ -22,6 +25,20 @@ distribution `xor_distribution(n, j, cfg)`. At j = 0 it collapses to a
 constantly biased product law, `xor_distribution_closed_form`; at j >= 1 and
 equal efficiencies it is exactly uniform.
 
+Transfer route
+--------------
+Output positions r, r + j, r + 2j, ... of one residue class mod j read only
+the pairs r, r + j, r + 2j, ..., so the j classes are independent and the
+law is the product of the j class laws. Within a class each position links
+two consecutive pairs of the chain: z_i = x_i XOR y_{i+j}. Carrying the x bit
+of the current pair as a two-state hidden chain, the forward recursion
+(Rabiner 1989, Proc. IEEE 77(2)) starts at the x marginal and steps
+
+    alpha'(a') = sum_s alpha(s) * P(a', s XOR z_i),
+
+the class law being the final sum over states. This costs O(n 2^n) time
+against the enumeration's O(4^(n+j)).
+
 Dense storage: a distribution over n-bit strings is an array indexed by the
 integer value of the string (leftmost bit most significant); a distribution
 over pairs of strings is the corresponding 2-d array.
@@ -29,6 +46,7 @@ over pairs of strings is the corresponding 2-d array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +57,7 @@ from .config import QrngConfig
 from .errors import ResourceBudgetError, UsageError
 
 __all__ = [
+    "DENSE_LAW_CAP",
     "ENUMERATION_CAP",
     "BiasParams",
     "ExactDistribution",
@@ -49,6 +68,7 @@ __all__ = [
     "xor_bias",
     "xor_distribution",
     "xor_distribution_closed_form",
+    "xor_distribution_transfer",
     "tv_distance",
     "l1_distance",
     "xor_expectation_quantum",
@@ -57,10 +77,20 @@ __all__ = [
 ]
 
 # Enumerating the XOR'd law touches 2^(2(n+j)) weight terms; n + j = 12 keeps
-# that at 2^24, a few seconds of array work. Callers may raise the cap.
+# that at 2^24, a few seconds of array work. Callers may raise the cap, but
+# the enumeration indexes strings as uint32 and never goes past 31 bits.
 ENUMERATION_CAP = 12
+# No dense law is built over more than 2^22 strings (32 MB per float64 array).
+DENSE_LAW_CAP = 22
 
 _NORMALIZATION_TOL = 1e-12
+
+
+def _check_dense(n: int):
+    if n > DENSE_LAW_CAP:
+        raise ResourceBudgetError(
+            f"a dense law over {n}-bit strings exceeds the ceiling of {DENSE_LAW_CAP} bits"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,12 +136,14 @@ class ExactDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "ExactDistribution":
+        _check_dense(n)
         size = 1 << n
         return cls(n, np.full(size, 1.0 / size))
 
     @classmethod
     def from_bias(cls, bias: BiasParams, n: int) -> "ExactDistribution":
         """Product law of n independent draws from ``bias``."""
+        _check_dense(n)
         ones = _popcounts(np.arange(1 << n, dtype=np.uint32))
         probs = (bias.p1 ** ones) * (bias.p0 ** (n - ones))
         return cls(n, probs)
@@ -256,6 +288,54 @@ def xor_distribution_closed_form(n: int, cfg: QrngConfig) -> ExactDistribution:
     return ExactDistribution.from_bias(xor_bias(cfg), n)
 
 
+# --- transfer route ------------------------------------------------------------
+
+
+def xor_distribution_transfer(
+    n: int, j: int, cfg: QrngConfig, max_bits: int = ENUMERATION_CAP
+) -> ExactDistribution:
+    """Law of the offset-XOR output, by a forward recursion per residue class.
+
+    Same law as `xor_distribution` (see the module docstring for the
+    recursion). ``max_bits`` bounds n + j as it does there; n itself may not
+    exceed DENSE_LAW_CAP. The law is built as an n-axis array of shape
+    (2,) * n, axis i holding bit z_i, so each class's recursion only spans
+    its own axes and the product of the class laws broadcasts to the whole.
+    """
+    if n < 1:
+        raise UsageError("n must be positive")
+    if j < 0:
+        raise UsageError("offset j must be non-negative")
+    if n + j > max_bits:
+        raise ResourceBudgetError(
+            f"offset-XOR law over n + j = {n + j} bits exceeds the budget of {max_bits}; "
+            "raise max_bits explicitly if you really want this"
+        )
+    _check_dense(n)
+    table = pair_prob_table(cfg)
+    swapped = table[:, ::-1]  # swapped[a, z] = P(a, 1 - z)
+
+    def along(axis: int, values: np.ndarray) -> np.ndarray:
+        """``values[z]`` as an array that varies along output axis ``axis`` only."""
+        shape = [1] * n
+        shape[axis] = 2
+        return values.reshape(shape)
+
+    if j == 0:
+        # P(x_i XOR y_i = z) = P(0, z) + P(1, 1 - z)
+        factors = [along(i, table[0] + swapped[1]) for i in range(n)]
+    else:
+        factors = []
+        for r in range(min(j, n)):
+            alpha = table.sum(axis=1)  # the x marginal of the chain's first pair
+            for i in range(r, n, j):
+                alpha = [alpha[0] * along(i, table[a]) + alpha[1] * along(i, swapped[a])
+                         for a in (0, 1)]
+            factors.append(alpha[0] + alpha[1])
+    # every axis i < n lies in class i mod j, so the product spans all n axes
+    return ExactDistribution(n, functools.reduce(np.multiply, factors).reshape(-1))
+
+
 # --- enumeration route -------------------------------------------------------
 
 
@@ -269,19 +349,23 @@ def _check_budget(total_bits: int, cap: int):
             f"enumeration over {total_bits}-bit strings exceeds the cap of {cap}; "
             "raise max_bits explicitly if you really want this"
         )
+    if total_bits >= 32:
+        raise ResourceBudgetError(
+            f"enumeration over {total_bits}-bit strings is refused whatever max_bits says; "
+            "it indexes strings as uint32"
+        )
 
 
 def _position_weights(m: int, cfg: QrngConfig):
-    """Per-string efficiency weights and per-distance angle factors for length m."""
+    """Per-distance angle factors s^d c^(m-d) and per-string efficiency weights."""
     exps = np.arange(m + 1, dtype=np.float64)
     s = math.sin(cfg.theta) ** 2
     c = math.cos(cfg.theta) ** 2
-    spow = s ** exps
-    cpow = c ** exps
+    angle = (s ** exps) * (c ** exps[::-1])
     ones = _popcounts(np.arange(1 << m, dtype=np.uint32))
     wplus = (cfg.e0_plus ** (m - ones)) * (cfg.e1_plus ** ones)
     wtimes = (cfg.e0_times ** (m - ones)) * (cfg.e1_times ** ones)
-    return ones, spow, cpow, wplus, wtimes
+    return angle, wplus, wtimes
 
 
 def joint_distribution(n: int, cfg: QrngConfig, max_bits: int = ENUMERATION_CAP) -> ExactDistribution:
@@ -296,9 +380,9 @@ def joint_distribution(n: int, cfg: QrngConfig, max_bits: int = ENUMERATION_CAP)
         raise UsageError("n must be positive")
     _check_budget(n, max_bits)
     values = np.arange(1 << n, dtype=np.uint32)
-    _, spow, cpow, wplus, wtimes = _position_weights(n, cfg)
+    angle, wplus, wtimes = _position_weights(n, cfg)
     d = np.bitwise_count(values[:, None] ^ values[None, :])
-    weights = spow[d] * cpow[n - d] * wplus[:, None] * wtimes[None, :]
+    weights = angle[d] * wplus[:, None] * wtimes[None, :]
     return ExactDistribution(n, weights / weights.sum())
 
 
@@ -325,7 +409,9 @@ def xor_distribution(
     the n-bit string z with z_i = x_i XOR y_{i+j}; x's trailing j bits and y's
     leading j bits are marginalized out. Enumeration runs over fixed-size
     blocks of x values with compensated cross-block accumulation, so results
-    do not depend on the block partitioning.
+    do not depend on the block partitioning. Within a block the y columns run
+    with y's leading j bits fastest, so those are summed out along the
+    contiguous axis (numpy sums that pairwise) before the sum by z.
     """
     if n < 1:
         raise UsageError("n must be positive")
@@ -334,21 +420,27 @@ def xor_distribution(
     m = n + j
     _check_budget(m, max_bits)
     values = np.arange(1 << m, dtype=np.uint32)
-    _, spow, cpow, wplus, wtimes = _position_weights(m, cfg)
-    mask = np.uint32((1 << n) - 1)
+    angle, wplus, wtimes = _position_weights(m, cfg)
     z_of_x = values >> np.uint32(j)  # leading n bits of x
-    z_of_y = values & mask           # trailing n bits of y
+    # column c holds y = (c's low j bits, then c's high n bits): y's trailing
+    # n bits are c >> j
+    y_cols = ((values & np.uint32((1 << j) - 1)) << np.uint32(n)) | (values >> np.uint32(j))
+    wtimes_cols = wtimes[y_cols]
+    z_of_y = np.arange(1 << n, dtype=np.uint32)
 
     acc = _KahanArray(1 << n)
     block_totals = []
     rows_per_block = max(1, (1 << 22) >> m)
     for start in range(0, 1 << m, rows_per_block):
         stop = min(start + rows_per_block, 1 << m)
-        d = np.bitwise_count(values[start:stop, None] ^ values[None, :])
-        w = spow[d] * cpow[m - d] * wplus[start:stop, None] * wtimes[None, :]
-        zi = z_of_x[start:stop, None] ^ z_of_y[None, :]
-        part = np.bincount(zi.ravel(), weights=w.ravel(), minlength=1 << n)
-        acc.add(part)
+        d = np.bitwise_count(values[start:stop, None] ^ y_cols[None, :])
+        w = angle[d] * wplus[start:stop, None] * wtimes_cols[None, :]
+        w = w.reshape(stop - start, 1 << n, 1 << j).sum(axis=2)
+        # row r's weight for z sits in column z ^ (x's leading bits); gather
+        # into [z, r] order so the sum over rows is contiguous too
+        rows = np.arange(stop - start)
+        aligned = w[rows[None, :], z_of_y[:, None] ^ z_of_x[None, start:stop]]
+        acc.add(aligned.sum(axis=1))
         block_totals.append(float(w.sum()))
     z_total = math.fsum(block_totals)
     return ExactDistribution(n, acc.total / z_total)

@@ -17,6 +17,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -163,6 +164,13 @@ def _parses(line: bytes) -> bool:
     return True
 
 
+def _record_line(path, k: int) -> int:
+    """Line number of record k (0-based), blank lines counted."""
+    with open(path, "rb") as fh:
+        lines = (i for i, line in enumerate(fh, start=1) if line.strip())
+        return next(islice(lines, k, None))
+
+
 def read_stream_ndjson(path) -> PairStream:
     chunks = []
     lineno = 0  # lines before the current chunk, blank ones included
@@ -178,11 +186,15 @@ def read_stream_ndjson(path) -> PairStream:
                     "number t and a, b each 0 or 1"
                 ) from None
             lineno += len(lines)
-    columns = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
+    t, a, b = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
     try:
-        return PairStream(*columns)
+        return PairStream(t, a, b)
     except UsageError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
+        # Records are checked one by one above, so only their order can fail:
+        # name the first time that is negative or not above the one before.
+        in_order = np.concatenate(([t[0] >= 0], t[1:] > t[:-1]))
+        line = _record_line(path, int(np.argmin(in_order)))
+        raise InputFormatError(f"{path}:{line}: {exc}") from None
 
 
 # --- JSON and CSV reports ---------------------------------------------------------

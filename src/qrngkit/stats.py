@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .bitstring import BitString, hamming_distance
 from .exact import ExactDistribution
@@ -96,6 +95,9 @@ def chi2_uniformity(bits: BitString, k: int, alpha: float = DEFAULT_ALPHA) -> Te
         raise UsageError(
             f"need at least {100 * (1 << k)} bits for k={k}, got {len(bits)}"
         )
+    # scipy takes about 0.3 s to import; only this test needs it
+    from scipy.special import gammaincc
+
     values = _block_values(bits, k)
     counts = np.bincount(values, minlength=1 << k)
     expected = values.size / (1 << k)

@@ -1,15 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qrngkit import (
     BitString,
+    QrngConfig,
     UsageError,
     read_bits,
     read_stream_ndjson,
     write_bits,
+    xor_distribution,
 )
 from qrngkit.cli import main, parse_angle, parse_count
 
@@ -114,6 +119,28 @@ def test_exact_deviation_file_is_centered(tmp_path):
 
 def test_exact_budget_exit_code(tmp_path):
     assert run_cli("exact", "--n", 12, "--j", 4, "--out-dir", tmp_path) == 3
+
+
+def test_exact_refuses_dense_law_past_ceiling(tmp_path, capsys):
+    # 2^40 strings: were the ceiling missing, this would fail fast with MemoryError
+    assert run_cli("exact", "--n", 40, "--j", 3, "--max-bits", 43, "--out-dir", tmp_path) == 3
+    assert capsys.readouterr().err.startswith("error: a dense law over 40-bit strings")
+    assert not (tmp_path / "distribution.csv").exists()
+
+
+def test_exact_law_file_matches_enumeration(tmp_path):
+    cfg = QrngConfig(theta=math.pi / 5, e0_plus=0.30, e1_plus=0.33, e0_times=0.29, e1_times=0.30)
+    assert run_cli("exact", "--n", 7, "--j", 3, "--theta", "pi/5",
+                   "--e", "0.30,0.33,0.29,0.30", "--out-dir", tmp_path) == 0
+    _, rows = csv_rows(tmp_path / "distribution.csv")
+    got = np.array([float(r[2]) for r in rows])
+    assert np.abs(got - xor_distribution(7, 3, cfg).probs).max() <= 1e-14
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, qrngkit.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- simulate ----------------------------------------------------------------------

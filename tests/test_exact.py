@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from qrngkit import (
     xor_bias,
     xor_distribution,
     xor_distribution_closed_form,
+    xor_distribution_transfer,
     xor_expectation_classical,
     xor_expectation_quantum,
 )
@@ -220,6 +223,21 @@ def test_xor_law_matches_pairwise_marginalization(skewed_cfg):
         assert np.abs(got - want).max() < 1e-15
 
 
+def test_enumeration_refuses_uint32_overflow_and_dense_ceiling():
+    # sizes of 2^40 and above: a missing guard fails fast with MemoryError
+    cfg = QrngConfig()
+    with pytest.raises(ResourceBudgetError):
+        xor_distribution(30, 10, cfg, max_bits=64)
+    with pytest.raises(ResourceBudgetError):
+        joint_distribution(40, cfg, max_bits=64)
+    with pytest.raises(ResourceBudgetError):
+        ExactDistribution.from_bias(BiasParams(0.5, 0.5), 40)
+    with pytest.raises(ResourceBudgetError):
+        ExactDistribution.uniform(40)
+    with pytest.raises(ResourceBudgetError):
+        xor_distribution_closed_form(40, cfg)
+
+
 def test_offset_beats_none(skewed_cfg):
     # shifting either string by one position decouples the pairwise bias
     u = ExactDistribution.uniform(6)
@@ -281,3 +299,85 @@ def test_taylor_gap():
     assert q / c == pytest.approx(math.pi / 2, abs=1e-12)
     with pytest.raises(UsageError):
         taylor_gap(0.3)
+
+
+# --- transfer route ---------------------------------------------------------------
+
+
+def test_transfer_matches_enumeration_at_reference_config(skewed_cfg):
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            got = xor_distribution_transfer(n, m - n, skewed_cfg).probs
+            want = xor_distribution(n, m - n, skewed_cfg).probs
+            assert np.abs(got - want).max() <= 1e-14, (n, m - n)
+
+
+def test_transfer_matches_enumeration_at_random_configs():
+    for cfg in random_configs(3, seed=73):
+        for m in range(1, 10):
+            for n in range(1, m + 1):
+                got = xor_distribution_transfer(n, m - n, cfg).probs
+                want = xor_distribution(n, m - n, cfg).probs
+                assert np.abs(got - want).max() <= 1e-14, (n, m - n)
+
+
+def rational_xor_law(n, j, table):
+    """The offset-XOR law in exact rationals, summed over every sequence of pairs."""
+    cells = [(a, b, Fraction(table[a, b])) for a in (0, 1) for b in (0, 1)]
+    mass = [Fraction(0)] * (1 << n)
+    for pairs in itertools.product(cells, repeat=n + j):
+        z = 0
+        for i in range(n):
+            z = (z << 1) | (pairs[i][0] ^ pairs[i + j][1])
+        weight = Fraction(1)
+        for _, _, p in pairs:
+            weight *= p
+        mass[z] += weight
+    return mass
+
+
+@pytest.mark.parametrize("n, j", [(1, 2), (2, 3), (3, 4)])
+def test_transfer_matches_exact_rationals_past_n(skewed_cfg, n, j):
+    want = rational_xor_law(n, j, pair_prob_table(skewed_cfg))
+    got = xor_distribution_transfer(n, j, skewed_cfg).probs
+    assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= Fraction(1, 10**15)
+
+
+def test_transfer_offset_zero_is_the_closed_form():
+    for cfg in random_configs(4, seed=74):
+        for n in (1, 5, 9):
+            got = xor_distribution_transfer(n, 0, cfg).probs
+            want = xor_distribution_closed_form(n, cfg).probs
+            assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_transfer_equal_efficiencies_offset_is_uniform():
+    for theta in (0.3, math.pi / 4, 1.2):
+        for e in (1.0, 0.7):
+            cfg = QrngConfig(theta=theta, e0_plus=e, e1_plus=e, e0_times=e, e1_times=e)
+            for n, j in ((5, 1), (4, 2), (3, 3), (2, 6), (8, 3)):
+                d = xor_distribution_transfer(n, j, cfg)
+                assert np.abs(d.probs * (1 << n) - 1.0).max() < 1e-14
+
+
+def test_transfer_budget_and_arguments():
+    cfg = QrngConfig()
+    with pytest.raises(ResourceBudgetError):
+        xor_distribution_transfer(12, 4, cfg)  # n + j over ENUMERATION_CAP
+    with pytest.raises(ResourceBudgetError):
+        xor_distribution_transfer(40, 3, cfg, max_bits=43)  # past DENSE_LAW_CAP
+    # a long offset costs nothing: only min(j, n) classes hold positions
+    d = xor_distribution_transfer(3, 1000, cfg, max_bits=1003)
+    assert d.n == 3
+    with pytest.raises(UsageError):
+        xor_distribution_transfer(0, 0, cfg)
+    with pytest.raises(UsageError):
+        xor_distribution_transfer(4, -1, cfg)
+
+
+def test_enumeration_normalizes_at_long_offsets(skewed_cfg):
+    # n = 1, j = 11 once summed 2^21 weights per cell in sequence and missed
+    # normalization by 6e-12
+    for n, j in ((1, 11), (1, 10), (2, 10), (2, 9)):
+        d = xor_distribution(n, j, skewed_cfg)
+        assert abs(math.fsum(d.probs) - 1.0) < 1e-15

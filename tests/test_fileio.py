@@ -133,7 +133,7 @@ def test_stream_reader_reports_bad_line_number(tmp_path):
 def test_stream_reader_rejects_unordered_times(tmp_path):
     p = tmp_path / "s.ndjson"
     p.write_text('{"t":2.0,"a":0,"b":1}\n{"t":1.0,"a":0,"b":1}\n')
-    with pytest.raises(InputFormatError):
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:2:"):
         read_stream_ndjson(p)
 
 
@@ -201,6 +201,22 @@ def test_bad_record_in_second_chunk_reports_file_line_number(tmp_path, small_chu
     # blank lines before the bad record count too
     p.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
     with pytest.raises(InputFormatError, match=r"s\.ndjson:7:"):
+        read_stream_ndjson(p)
+
+
+@pytest.mark.parametrize(
+    "times, line",
+    [
+        (["-0.5", "1.0", "2.0"], 3),  # negative first time, after two blank lines
+        (["0.5", "1.0", "1.0", "2.0"], 5),  # a repeated time
+        (["0.5", "1.0", "2.0", "3.0", "4.0", "5.0", "4.5"], 9),  # out of order in a later chunk
+    ],
+)
+def test_unordered_time_reports_file_line_number(tmp_path, small_chunks, times, line):
+    lines = [f'{{"t":{t},"a":0,"b":1}}' for t in times]
+    p = tmp_path / "s.ndjson"
+    p.write_text("\n".join(["", " ", *lines]) + "\n")
+    with pytest.raises(InputFormatError, match=rf"s\.ndjson:{line}: record times"):
         read_stream_ndjson(p)
 
 
