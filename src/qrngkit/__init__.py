@@ -7,7 +7,7 @@ plumbing with a CLI (`fileio`, `cli`). `bitstring`, `config` and `streams`
 hold the shared value types.
 """
 
-from .bitstring import BitString, count_bits, hamming_distance
+from .bitstring import BitString, hamming_distance
 from .config import DETECTOR_NAMES, DriftSpec, QrngConfig
 from .errors import InputFormatError, ResourceBudgetError, UsageError
 from .exact import (
@@ -78,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitString",
-    "count_bits",
     "hamming_distance",
     "DETECTOR_NAMES",
     "DriftSpec",

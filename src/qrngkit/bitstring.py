@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["BitString", "hamming_distance", "count_bits"]
+__all__ = ["BitString", "hamming_distance"]
 
 
 class BitString:
@@ -166,7 +166,3 @@ def hamming_distance(x: BitString, y: BitString) -> int:
         raise UsageError(f"hamming distance needs equal lengths, got {len(x)} and {len(y)}")
     return (x.value ^ y.value).bit_count()
 
-
-def count_bits(x: BitString, b: int) -> int:
-    """Occurrences of bit value ``b`` in ``x``."""
-    return x.count(b)

@@ -12,7 +12,7 @@ malformed input file.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import re
 import sys
@@ -103,26 +103,16 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def _build_config(args, extra: dict | None = None) -> QrngConfig:
-    base: dict = {}
-    if getattr(args, "config", None):
-        try:
-            base = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from None
-        except ValueError as exc:
-            raise InputFormatError(f"{args.config}: {exc}") from None
-        if not isinstance(base, dict):
-            raise InputFormatError(f"{args.config}: expected a JSON object")
+    """The --config file (or the defaults) with the given flags applied over it."""
+    cfg = QrngConfig.from_json(args.config) if getattr(args, "config", None) else QrngConfig()
+    overrides = {key: value for key, value in (extra or {}).items() if value is not None}
     if getattr(args, "theta", None) is not None:
-        base["theta"] = parse_angle(args.theta)
+        overrides["theta"] = parse_angle(args.theta)
     if getattr(args, "e", None) is not None:
-        base.update(_parse_efficiencies(args.e))
+        overrides.update(_parse_efficiencies(args.e))
     if getattr(args, "equal_e", False):
-        base.update(dict.fromkeys(DETECTOR_NAMES, 1.0))
-    for key, value in (extra or {}).items():
-        if value is not None:
-            base[key] = value
-    return QrngConfig.from_dict(base)
+        overrides.update(dict.fromkeys(DETECTOR_NAMES, 1.0))
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _out_dir(args) -> Path:
@@ -308,7 +298,7 @@ def cmd_sweep(args) -> int:
     for i, theta in enumerate(thetas):
         row = [theta, xor_expectation_quantum(theta), xor_expectation_classical(theta)]
         if args.empirical:
-            cfg_t = QrngConfig.from_dict({**cfg.to_dict(), "theta": theta})
+            cfg_t = dataclasses.replace(cfg, theta=theta)
             stream = run_pipeline(args.empirical, cfg_t, args.seed + i).records
             z = stream.a ^ stream.b
             row.append(1.0 - float(z.mean()))

@@ -74,7 +74,7 @@ class QrngConfig:
                     raise UsageError(f"drift amplitude {a} on {name} reaches zero efficiency")
                 if e + a > 1.0:
                     raise UsageError(f"drift amplitude {a} on {name} exceeds unit efficiency")
-        if self.dead_time_Td < 0:
+        if not self.dead_time_Td >= 0:  # NaN included
             raise UsageError("dead_time_Td must be >= 0")
         if not self.mean_pair_interval > 0:
             raise UsageError("mean_pair_interval must be positive")
@@ -112,20 +112,28 @@ class QrngConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QrngConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """Config from plain JSON material.
+
+        A field that is not a finite number (or null where allowed) raises
+        InputFormatError; a number out of range raises UsageError.
+        """
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise InputFormatError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        drift = kwargs.get("drift")
+        kwargs = {
+            key: _number(value, key)
+            for key, value in d.items()
+            if key != "drift" and not (key == "demon_rho" and value is None)
+        }
+        drift = d.get("drift")
         if drift is not None:
-            if not isinstance(drift, dict):
+            if not isinstance(drift, dict) or set(drift) - {"amplitudes", "period", "phases"}:
                 raise InputFormatError("drift must be an object with amplitudes/period[/phases]")
             try:
                 kwargs["drift"] = DriftSpec(
-                    amplitudes=tuple(drift["amplitudes"]),
-                    period=drift["period"],
-                    phases=tuple(drift.get("phases", (0.0, 0.0, 0.0, 0.0))),
+                    amplitudes=_four_numbers(drift["amplitudes"], "drift amplitudes"),
+                    period=_number(drift["period"], "drift period"),
+                    phases=_four_numbers(drift.get("phases", [0.0] * 4), "drift phases"),
                 )
             except KeyError as exc:
                 raise InputFormatError(f"drift spec missing key {exc}") from exc
@@ -133,11 +141,25 @@ class QrngConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "QrngConfig":
+        """Config from a JSON file; any defect in the file raises InputFormatError."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputFormatError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(data)
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(data, dict):
+                raise InputFormatError("expected a JSON object")
+            return cls.from_dict(data)
+        except ValueError as exc:  # bad bytes, bad JSON, bad or out-of-range fields
+            raise InputFormatError(f"config file {path}: {exc}") from None
+
+
+def _number(value, name: str):
+    """``value`` if it is a finite JSON number (a bool is not one)."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and -math.inf < value < math.inf):
+        raise InputFormatError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _four_numbers(values, name: str) -> tuple:
+    if not isinstance(values, (list, tuple)) or len(values) != 4:
+        raise InputFormatError(f"{name} must be a list of four numbers, got {values!r}")
+    return tuple(_number(v, name) for v in values)

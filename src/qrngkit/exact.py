@@ -171,13 +171,6 @@ class ExactDistribution:
     def __getitem__(self, idx) -> float:
         return float(self.probs[idx])
 
-    def support(self):
-        """Yield (index, text form, probability) over single-string support."""
-        if self.is_pair:
-            raise UsageError("support iteration is for single-string laws")
-        for i, p in enumerate(self.probs):
-            yield i, BitString.from_index(i, self.n).to01(), float(p)
-
     def deviation_from_uniform(self) -> np.ndarray:
         if self.is_pair:
             raise UsageError("uniform deviation is for single-string laws")

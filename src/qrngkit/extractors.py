@@ -1,10 +1,15 @@
 """Bitstring post-processing: offset-XOR, von Neumann, Peres, pair-compare.
 
 Every extractor exists in two forms: a one-shot function returning an
-ExtractionOutput, and a streaming class with feed()/finish() so unbounded
-inputs can be processed in chunks. Splitting the input differently never
-changes the concatenated output; the one-shot forms are thin wrappers over
-the streaming ones, so there is a single implementation of each rule.
+ExtractionOutput (plain BitString for xor_offset), and a streaming class with
+feed()/finish() so unbounded inputs can be processed in chunks. Splitting the
+input differently never changes the concatenated output.
+
+Von Neumann, Peres and the pair comparison share one pairing core that works
+on uint8 arrays; their one-shot forms run the streaming classes, and von
+Neumann is Peres at depth 1. `xor_offset` is a separate Python-integer route,
+so it and XorOffsetExtractor serve as each other's test oracle. BitString
+appears only at the public edge.
 
 Two-bit values are ordered lexicographically with the leftmost bit most
 significant: 00 < 01 < 10 < 11.
@@ -31,6 +36,8 @@ __all__ = [
     "PairVonNeumannExtractor",
 ]
 
+_NO_BITS = np.zeros(0, dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class ExtractionOutput:
@@ -48,17 +55,6 @@ class ExtractionOutput:
     def __post_init__(self):
         if self.discarded < 0 or len(self.bits) + self.discarded != self.consumed:
             raise UsageError("extraction accounting does not add up")
-
-
-def _empty() -> BitString:
-    return BitString("")
-
-
-def _concat(parts: list[BitString]) -> BitString:
-    out = _empty()
-    for p in parts:
-        out = out + p
-    return out
 
 
 # --- offset XOR ---------------------------------------------------------------
@@ -86,8 +82,8 @@ class XorOffsetExtractor:
         if j < 0:
             raise UsageError("offset must be non-negative")
         self.j = j
-        self._x_pending = np.zeros(0, dtype=np.uint8)
-        self._seen = 0
+        self._x_pending = _NO_BITS
+        self.consumed = 0
         self.emitted = 0
 
     def feed(self, x_chunk: BitString, y_chunk: BitString) -> BitString:
@@ -95,128 +91,123 @@ class XorOffsetExtractor:
             raise UsageError("chunks must have equal length")
         L = len(x_chunk)
         xs = np.concatenate([self._x_pending, x_chunk.to_array()])
-        emit = min(self._seen + L - self.j, L) if self._seen + L > self.j else 0
-        self._seen += L
+        emit = min(self.consumed + L - self.j, L) if self.consumed + L > self.j else 0
+        self.consumed += L
         if emit <= 0:
             self._x_pending = xs
-            return _empty()
+            return BitString()
         out = xs[:emit] ^ y_chunk.to_array()[L - emit :]
         self._x_pending = xs[emit:]
         self.emitted += emit
         return BitString.from_array(out)
 
     def finish(self) -> BitString:
-        return _empty()
+        return BitString()
 
 
-# --- von Neumann ---------------------------------------------------------------
+# --- pairing core ----------------------------------------------------------------
 
 
-class VonNeumannExtractor:
-    """Pairwise debiaser: 01 -> 0, 10 -> 1, equal pairs discarded."""
+class _Pairing:
+    """Consecutive-pair state shared by the pairwise extractors.
+
+    Values arrive as uint8 arrays; an odd trailing value waits for the next
+    feed and is dropped by finish().
+    """
 
     def __init__(self):
-        self._pending: int | None = None
+        self._odd = _NO_BITS
         self.consumed = 0
         self.emitted = 0
 
-    def feed(self, chunk: BitString) -> BitString:
-        arr = chunk.to_array()
-        self.consumed += len(chunk)
-        if self._pending is not None:
-            arr = np.concatenate([[self._pending], arr])
-            self._pending = None
-        half = arr.size // 2
-        if arr.size % 2:
-            self._pending = int(arr[-1])
-        pairs = arr[: 2 * half].reshape(half, 2)
-        out = pairs[pairs[:, 0] != pairs[:, 1], 0]
-        self.emitted += out.size
-        return BitString.from_array(out)
+    def _pairs(self, values: np.ndarray) -> np.ndarray:
+        """The held value then ``values``, as an (m, 2) array of consecutive pairs."""
+        self.consumed += values.size
+        if self._odd.size:
+            values = np.concatenate([self._odd, values])
+        m = values.size // 2
+        self._odd = values[2 * m :].copy()
+        return values[: 2 * m].reshape(m, 2)
 
     def finish(self) -> BitString:
-        self._pending = None
-        return _empty()
+        self._odd = _NO_BITS
+        return BitString()
 
 
-def von_neumann(z: BitString) -> ExtractionOutput:
-    ext = VonNeumannExtractor()
-    bits = ext.feed(z) + ext.finish()
-    return ExtractionOutput(bits, len(z), len(z) - len(bits))
-
-
-# --- Peres ---------------------------------------------------------------------
-
-
-class PeresExtractor:
-    """Iterated von Neumann.
+class PeresExtractor(_Pairing):
+    """Iterated von Neumann (Peres 1992).
 
     Level one emits the usual 01/10 bits as they appear. The pair parities
     feed one child extractor and the values of equal pairs feed another, each
     one level shallower; their output follows all level-one bits, so it is
-    held back until finish(). depth 1 is exactly von Neumann.
+    held back until finish(). A child is built on its first non-empty input,
+    and each level gets at most half the bits of the one above, so only about
+    log2(n) levels ever exist whatever the depth. depth 1 is von Neumann.
     """
 
     def __init__(self, depth: int = 4):
         if depth < 1:
             raise UsageError("depth must be at least 1")
+        super().__init__()
         self.depth = depth
-        self._pending: int | None = None
-        self._child_parity = PeresExtractor(depth - 1) if depth > 1 else None
-        self._child_equal = PeresExtractor(depth - 1) if depth > 1 else None
-        self._held_parity: list[BitString] = []
-        self._held_equal: list[BitString] = []
-        self.consumed = 0
-        self.emitted = 0
+        self._children: list[PeresExtractor | None] = [None, None]  # parity, equal
+        self._held: tuple[list, list] = ([], [])
 
-    def feed(self, chunk: BitString) -> BitString:
-        arr = chunk.to_array()
-        self.consumed += len(chunk)
-        if self._pending is not None:
-            arr = np.concatenate([[self._pending], arr])
-            self._pending = None
-        half = arr.size // 2
-        if arr.size % 2:
-            self._pending = int(arr[-1])
-        pairs = arr[: 2 * half].reshape(half, 2)
+    def _feed(self, values: np.ndarray) -> np.ndarray:
+        pairs = self._pairs(values)
         unequal = pairs[:, 0] != pairs[:, 1]
         out = pairs[unequal, 0]
-        if self._child_parity is not None and half:
-            self._held_parity.append(
-                self._child_parity.feed(BitString.from_array(pairs[:, 0] ^ pairs[:, 1]))
-            )
-            self._held_equal.append(
-                self._child_equal.feed(BitString.from_array(pairs[~unequal, 0]))
-            )
         self.emitted += out.size
-        return BitString.from_array(out)
+        if self.depth > 1:
+            streams = (pairs[:, 0] ^ pairs[:, 1], pairs[~unequal, 0])
+            for i, stream in enumerate(streams):
+                if stream.size:
+                    if self._children[i] is None:
+                        self._children[i] = PeresExtractor(self.depth - 1)
+                    self._held[i].append(self._children[i]._feed(stream))
+        return out
+
+    def _finish(self) -> np.ndarray:
+        self._odd = _NO_BITS
+        parts = []
+        for child, held in zip(self._children, self._held):
+            if child is not None:
+                parts += held
+                parts.append(child._finish())
+        self._children = [None, None]
+        self._held = ([], [])
+        tail = np.concatenate(parts) if parts else _NO_BITS
+        self.emitted += tail.size
+        return tail
+
+    def feed(self, chunk: BitString) -> BitString:
+        return BitString.from_array(self._feed(chunk.to_array()))
 
     def finish(self) -> BitString:
-        self._pending = None
-        if self._child_parity is None:
-            return _empty()
-        tail = (
-            _concat(self._held_parity)
-            + self._child_parity.finish()
-            + _concat(self._held_equal)
-            + self._child_equal.finish()
-        )
-        self._held_parity = []
-        self._held_equal = []
-        self.emitted += len(tail)
-        return tail
+        return BitString.from_array(self._finish())
+
+
+class VonNeumannExtractor(PeresExtractor):
+    """Pairwise debiaser: 01 -> 0, 10 -> 1, equal pairs discarded."""
+
+    def __init__(self):
+        super().__init__(depth=1)
 
 
 def peres(z: BitString, depth: int = 4) -> ExtractionOutput:
     ext = PeresExtractor(depth)
-    bits = ext.feed(z) + ext.finish()
+    bits = BitString.from_array(np.concatenate([ext._feed(z.to_array()), ext._finish()]))
     return ExtractionOutput(bits, len(z), len(z) - len(bits))
+
+
+def von_neumann(z: BitString) -> ExtractionOutput:
+    return peres(z, 1)
 
 
 # --- pair comparison over two strings -------------------------------------------
 
 
-class PairVonNeumannExtractor:
+class PairVonNeumannExtractor(_Pairing):
     """Two-string debiaser over consecutive position-pairs.
 
     Positions 2i and 2i+1 supply outcome pairs (a1, b1) and (a2, b2); the
@@ -224,38 +215,19 @@ class PairVonNeumannExtractor:
     nothing when equal.
     """
 
-    def __init__(self):
-        self._pending: tuple[int, int] | None = None
-        self.consumed = 0
-        self.emitted = 0
-
     def feed(self, x_chunk: BitString, y_chunk: BitString) -> BitString:
         if len(x_chunk) != len(y_chunk):
             raise UsageError("chunks must have equal length")
-        self.consumed += len(x_chunk)
-        values = 2 * x_chunk.to_array().astype(np.int8) + y_chunk.to_array()
-        if self._pending is not None:
-            values = np.concatenate([[2 * self._pending[0] + self._pending[1]], values])
-            self._pending = None
-        half = values.size // 2
-        if values.size % 2:
-            v = int(values[-1])
-            self._pending = (v >> 1, v & 1)
-        first = values[: 2 * half : 2]
-        second = values[1 : 2 * half : 2]
-        out = (first > second)[first != second].astype(np.uint8)
+        pairs = self._pairs(2 * x_chunk.to_array() + y_chunk.to_array())
+        first, second = pairs[:, 0], pairs[:, 1]
+        out = (first > second)[first != second]
         self.emitted += out.size
         return BitString.from_array(out)
-
-    def finish(self) -> BitString:
-        self._pending = None
-        return _empty()
 
 
 def pair_von_neumann(x: BitString, y: BitString) -> ExtractionOutput:
     """One-shot pair comparison; `consumed` counts positions of each string."""
     if len(x) != len(y):
         raise UsageError("pair_von_neumann needs equal-length inputs")
-    ext = PairVonNeumannExtractor()
-    bits = ext.feed(x, y) + ext.finish()
+    bits = PairVonNeumannExtractor().feed(x, y)
     return ExtractionOutput(bits, len(x), len(x) - len(bits))

@@ -204,18 +204,29 @@ def write_json(path, obj) -> Path:
     return _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+# Law CSVs are formatted _LAW_CHUNK rows at a time straight from the float
+# array, so a 2^22-row law never holds all its rows as Python strings.
+_LAW_CHUNK = 1 << 16
+
+
+def _write_law_csv(path, column: str, n: int, values: np.ndarray) -> Path:
+    if values.ndim != 1:
+        raise UsageError("law CSVs are for single-string laws")
+    with _atomic_open(path) as fh:
+        fh.write(f"index,bitstring,{column}\n".encode("ascii"))
+        for lo in range(0, values.size, _LAW_CHUNK):
+            rows = enumerate(values[lo : lo + _LAW_CHUNK].tolist(), lo)
+            fh.write("".join([f"{i},{i:0{n}b},{p!r}\n" for i, p in rows]).encode("ascii"))
+    return Path(path)
+
+
 def write_distribution_csv(path, dist) -> Path:
-    rows = ["index,bitstring,probability"]
-    rows += [f"{i},{s},{p!r}" for i, s, p in dist.support()]
-    return _atomic_write_text(path, "\n".join(rows) + "\n")
+    return _write_law_csv(path, "probability", dist.n, dist.probs)
 
 
 def write_deviation_csv(path, dist) -> Path:
     """Per-string deviation from the uniform mass, for plotting."""
-    uniform = 1.0 / (1 << dist.n)
-    rows = ["index,bitstring,deviation"]
-    rows += [f"{i},{s},{p - uniform!r}" for i, s, p in dist.support()]
-    return _atomic_write_text(path, "\n".join(rows) + "\n")
+    return _write_law_csv(path, "deviation", dist.n, dist.deviation_from_uniform())
 
 
 def write_reports_csv(path, reports) -> Path:

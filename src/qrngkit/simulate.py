@@ -1,8 +1,10 @@
 """Monte Carlo pair source and the stream-level transforms.
 
-Randomness comes from numpy's Philox counter-based generator, keyed directly
-by the caller's seed, so identical (n, cfg, seed) always reproduce the same
-stream byte for byte. The draw order is part of the contract:
+Randomness comes from numpy's Philox counter-based generator keyed by the
+two words [seed, stage], so identical (n, cfg, seed) always reproduce the
+same stream byte for byte, and no stage of one seed shares a key with any
+stage of another. Sampling is stage 0 (the same draws as the key seed alone)
+and double counting stage 1. The draw order is part of the contract:
 
 * ideal mode: inter-arrival gaps, then one outcome uniform per pair;
 * physical mode: gaps, plus-context outcome uniforms, anti-correlation flip
@@ -10,7 +12,7 @@ stream byte for byte. The draw order is part of the contract:
 * double counting: one uniform per record except the last.
 
 `run_pipeline` chains the configured imperfections in fixed order: sampling,
-double counting (keyed by seed + 1), dead-time filtering, demon filtering.
+double counting, dead-time filtering, demon filtering.
 The demon acts on the offset-0 XOR bit of each record, so rejected bits drop
 whole records.
 """
@@ -66,8 +68,13 @@ class SimulationResult:
         }
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+_SAMPLING, _DOUBLE_COUNTING = 0, 1
+
+
+def _generator(seed: int, stage: int) -> np.random.Generator:
+    if not 0 <= seed < 1 << 64:
+        raise UsageError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=[seed, stage]))
 
 
 def _arrival_times(n: int, cfg: QrngConfig, rng: np.random.Generator) -> np.ndarray:
@@ -94,7 +101,7 @@ def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     shows up as a slowly wandering bias.
     """
     _check_n(n)
-    rng = _generator(seed)
+    rng = _generator(seed, _SAMPLING)
     times = _arrival_times(n, cfg, rng)
     e0p, e1p, e0t, e1t = cfg.efficiencies_at(times).T
     s = math.sin(cfg.theta) ** 2
@@ -120,7 +127,7 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     test property, not assumed here).
     """
     _check_n(n)
-    rng = _generator(seed)
+    rng = _generator(seed, _SAMPLING)
     times = _arrival_times(n, cfg, rng)
     s = math.sin(cfg.theta) ** 2
     a = (rng.random(n) < 0.5).astype(np.uint8)
@@ -139,13 +146,14 @@ def apply_double_counting(stream: PairStream, p_dc: float, seed: int) -> PairStr
     Models a detector pairing a photon with one from the following pair. The
     substituted values are the original neighbours (no cascading), the last
     record has no neighbour and is never touched, and the stream length is
-    preserved.
+    preserved. The swap uniforms come from stage 1 of ``seed``, so they never
+    repeat the sampling draws of any seed.
     """
     if not 0.0 <= p_dc <= 1.0:
         raise UsageError("double-count probability must lie in [0, 1]")
     if p_dc == 0.0 or len(stream) <= 1:
         return stream
-    rng = _generator(seed)
+    rng = _generator(seed, _DOUBLE_COUNTING)
     swap = rng.random(len(stream) - 1) < p_dc
     b = stream.b.copy()
     b[:-1][swap] = stream.b[1:][swap]
@@ -185,8 +193,9 @@ def demon_modulus(rho: float) -> int:
     return math.ceil((1.0 / (1.0 - rho)) * (1.0 - 1e-12))
 
 
-def _demon_kept_indices(bits: np.ndarray, k: int) -> np.ndarray:
-    """Input indices surviving the forced-zero rule with spacing k."""
+def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
+    """Input indices surviving the forced-zero rule of budget rho."""
+    k = demon_modulus(rho)
     kept = []
     out_pos = 1
     for i, bit in enumerate(bits):
@@ -197,21 +206,18 @@ def _demon_kept_indices(bits: np.ndarray, k: int) -> np.ndarray:
     return np.asarray(kept, dtype=np.intp)
 
 
-def demon_filter(bits: BitString, rho: float, seed: int | None = None) -> BitString:
+def demon_filter(bits: BitString, rho: float) -> BitString:
     """Reject ones so that every k-th output bit is zero, k = ceil(1/(1-rho)).
 
     This is the fair-sampling adversary: within a rejection budget rho it
     plants an all-zero arithmetic subsequence (output positions k, 2k, ...,
     counting from 1) by discarding input ones that land on those slots. All
-    other bits pass through in order. The construction is deterministic;
-    ``seed`` is accepted for interface symmetry with the other transforms and
-    ignored. If the input runs out while a forced slot waits for a zero, the
-    output simply ends there.
+    other bits pass through in order. The construction is deterministic. If
+    the input runs out while a forced slot waits for a zero, the output simply
+    ends there.
     """
-    if seed is not None and not isinstance(seed, int):
-        raise UsageError("seed must be an integer when given")
     arr = bits.to_array()
-    kept = _demon_kept_indices(arr, demon_modulus(rho))
+    kept = _demon_kept_indices(arr, rho)
     return BitString.from_array(arr[kept])
 
 
@@ -234,7 +240,7 @@ def run_pipeline(
         raise UsageError(f"unknown simulation mode {mode!r}")
     stream = result.records
     if cfg.double_count_prob > 0.0:
-        stream = apply_double_counting(stream, cfg.double_count_prob, seed + 1)
+        stream = apply_double_counting(stream, cfg.double_count_prob, seed)
     dropped_dead = 0
     if cfg.dead_time_Td > 0.0:
         filtered = dead_time_filter(stream, cfg.dead_time_Td)
@@ -242,8 +248,7 @@ def run_pipeline(
         stream = filtered
     dropped_demon = 0
     if cfg.demon_rho is not None and len(stream):
-        z = stream.a ^ stream.b
-        kept = _demon_kept_indices(z, demon_modulus(cfg.demon_rho))
+        kept = _demon_kept_indices(stream.a ^ stream.b, cfg.demon_rho)
         dropped_demon = len(stream) - kept.size
         stream = PairStream(stream.t[kept], stream.a[kept], stream.b[kept])
     return SimulationResult(

@@ -1,4 +1,4 @@
-"""Small statistical utilities shared across test modules."""
+"""Small statistical utilities and bad inputs shared across test modules."""
 
 import math
 
@@ -33,3 +33,26 @@ def coin_flips(key: int, n: int, p: float = 0.5) -> np.ndarray:
     """Deterministic Bernoulli(p) uint8 array from a counter-based generator."""
     rng = np.random.Generator(np.random.Philox(key=key))
     return (rng.random(n) < p).astype(np.uint8)
+
+
+# Files each defect of which ends in InputFormatError (CLI exit 4), never in a
+# TypeError, a UnicodeDecodeError or a silently coerced value.
+BAD_CONFIG_TEXTS = [
+    b'{"theta": "x"}',
+    b'{"theta": null}',
+    b'{"e0_plus": true}',
+    b'{"theta": NaN}',
+    b'{"dead_time_Td": Infinity}',
+    b'{"theta": [0.3]}',
+    b'{"drift": {"amplitudes": 5, "period": 1}}',
+    b'{"drift": {"amplitudes": [0.1, 0, 0], "period": 1}}',
+    b'{"drift": {"amplitudes": [0.1, 0, 0, "0"], "period": 1}}',
+    b'{"drift": {"amplitudes": [0, 0, 0, 0], "period": "1"}}',
+    b'{"drift": {"amplitudes": [0, 0, 0, 0], "period": 1, "phases": 0}}',
+    b'{"drift": {"amplitudes": [0, 0, 0, 0], "period": 1, "phase": [0, 0, 0, 0]}}',
+    b'{"drift": [0, 0, 0, 0]}',
+    b'{"theta": 3.0}',
+    b'\xff\xfe{"theta": 0.3}',
+    b'{"theta": 0.3',
+    b'',
+]

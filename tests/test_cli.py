@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import BAD_CONFIG_TEXTS
 from qrngkit import (
     BitString,
     QrngConfig,
@@ -431,3 +432,35 @@ def test_config_file_errors(tmp_path):
     assert run_cli("simulate", "--pairs", 10, "--config", bad, "--out-dir", tmp_path) == 4
     assert run_cli("simulate", "--pairs", 10, "--config", tmp_path / "nope.json",
                    "--out-dir", tmp_path) == 2
+    for text in BAD_CONFIG_TEXTS:
+        bad.write_bytes(text)
+        assert run_cli("simulate", "--pairs", 10, "--config", bad, "--out-dir", tmp_path) == 4
+    # the file is checked on its own, before any flag overrides a field of it
+    bad.write_text('{"theta": 3.0}')
+    assert run_cli("simulate", "--pairs", 10, "--theta", "0.3", "--config", bad,
+                   "--out-dir", tmp_path) == 4
+
+
+# Hostile argv and the documented exit code of each: 0 success, 2 usage, 4
+# malformed file. {bits} is an 8-bit input file, {cfgN} bad config file N.
+HOSTILE_ARGV = [
+    ("extract --method peres --depth 5000 --in {bits}", 0),
+    ("extract --method peres --depth 0 --in {bits}", 2),
+    ("extract --method peres --depth -3 --in {bits}", 2),
+    ("simulate --pairs 10 --seed -1", 2),
+    ("simulate --pairs 10 --dead-time nan", 2),
+    *[("exact --n 2 --config {cfg%d}" % i, 4) for i in range(len(BAD_CONFIG_TEXTS))],
+]
+
+
+@pytest.mark.parametrize("argv,code", HOSTILE_ARGV)
+def test_hostile_argv_ends_in_its_exit_code(tmp_path, capsys, argv, code):
+    write_bits(tmp_path / "in.bits", BitString("00011011"))
+    files = {"bits": tmp_path / "in.bits"}
+    for i, text in enumerate(BAD_CONFIG_TEXTS):
+        files[f"cfg{i}"] = tmp_path / f"bad{i}.json"
+        files[f"cfg{i}"].write_bytes(text)
+    assert run_cli(*[part.format(**files) for part in argv.split()], "--out-dir", tmp_path) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import BAD_CONFIG_TEXTS
 from qrngkit import DriftSpec, InputFormatError, QrngConfig, UsageError
 
 
@@ -27,6 +28,7 @@ def test_defaults():
         {"double_count_prob": 1.5},
         {"demon_rho": 0.0},
         {"demon_rho": 1.0},
+        {"dead_time_Td": math.nan},
     ],
 )
 def test_rejects_out_of_range_fields(kwargs):
@@ -108,3 +110,7 @@ def test_from_json(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(InputFormatError):
         QrngConfig.from_json(path)
+    for text in BAD_CONFIG_TEXTS:
+        path.write_bytes(text)
+        with pytest.raises(InputFormatError):
+            QrngConfig.from_json(path)

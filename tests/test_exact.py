@@ -62,15 +62,10 @@ def test_prob_accessors():
         d.prob_pair(BitString("01"), BitString("00"))
 
 
-def test_support_iteration_and_deviation():
-    d = ExactDistribution.uniform(2)
-    assert list(d.support()) == [
-        (0, "00", 0.25),
-        (1, "01", 0.25),
-        (2, "10", 0.25),
-        (3, "11", 0.25),
-    ]
-    assert np.all(d.deviation_from_uniform() == 0.0)
+def test_deviation_from_uniform():
+    assert np.all(ExactDistribution.uniform(2).deviation_from_uniform() == 0.0)
+    d = ExactDistribution.from_bias(BiasParams(0.75, 0.25), 1)
+    assert d.deviation_from_uniform().tolist() == [0.25, -0.25]
 
 
 def test_pair_law_cylinder_queries(skewed_cfg):

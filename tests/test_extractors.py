@@ -94,11 +94,43 @@ def test_von_neumann_unbiases_a_biased_coin():
 # --- Peres ------------------------------------------------------------------------
 
 
+def peres_reference(bits, depth):
+    """Peres's recursion on a list of bits, straight from its definition."""
+    if depth == 0:
+        return []
+    pairs = list(zip(bits[0::2], bits[1::2]))
+    return (
+        [a for a, b in pairs if a != b]
+        + peres_reference([a ^ b for a, b in pairs], depth - 1)
+        + peres_reference([a for a, b in pairs if a == b], depth - 1)
+    )
+
+
 def test_peres_depth_one_is_von_neumann():
     rng = np.random.default_rng(91)
     for _ in range(1000):
-        z = bs(rng.integers(0, 2, 64))
-        assert peres(z, 1).bits == von_neumann(z).bits
+        z = rng.integers(0, 2, int(rng.integers(0, 65))).tolist()
+        want = bs([a for a, b in zip(z[0::2], z[1::2]) if a != b])
+        assert peres(bs(z), 1).bits == von_neumann(bs(z)).bits == want
+
+
+@pytest.mark.parametrize("depth", [2, 3, 6])
+def test_peres_matches_recursive_reference(depth):
+    rng = np.random.default_rng(95 + depth)
+    for _ in range(200):
+        z = coin_flips(key=int(rng.integers(1 << 30)), n=int(rng.integers(0, 200)), p=0.3)
+        assert peres(bs(z), depth).bits == bs(peres_reference(z.tolist(), depth))
+
+
+def test_peres_depth_past_log2_n_changes_nothing():
+    # Level L gets at most n / 2^(L-1) bits, so no level past log2(n) has
+    # input; it is never built, and a huge depth costs nothing.
+    rng = np.random.default_rng(96)
+    for _ in range(50):
+        z = bs(rng.integers(0, 2, int(rng.integers(1, 3000))))
+        enough = 1 + math.floor(math.log2(len(z)))
+        assert peres(z, 10_000).bits == peres(z, enough).bits
+    assert peres(BitString("0110"), 18).bits == peres(BitString("0110"), 3).bits
 
 
 def test_peres_small_cases():
@@ -206,6 +238,7 @@ def drain(ext, pieces, two_sided=False):
     (VonNeumannExtractor, lambda z: von_neumann(z).bits),
     (lambda: PeresExtractor(3), lambda z: peres(z, 3).bits),
     (lambda: PeresExtractor(5), lambda z: peres(z, 5).bits),
+    pytest.param(lambda: PeresExtractor(8), lambda z: peres(z, 8).bits, id="peres8"),
 ])
 def test_single_stream_chunking_invariance(make, one_shot):
     rng = np.random.default_rng(92)
@@ -214,6 +247,8 @@ def test_single_stream_chunking_invariance(make, one_shot):
         arr = rng.integers(0, 2, n).astype(np.uint8)
         cuts = rng.integers(0, n + 1, size=int(rng.integers(0, 5))).tolist()
         assert drain(make(), chunks_of(arr, cuts)) == one_shot(bs(arr))
+        for size in (1, 3, 64):
+            assert drain(make(), chunks_of(arr, range(size, n, size))) == one_shot(bs(arr))
 
 
 @pytest.mark.parametrize("j", [0, 1, 3, 7])
@@ -234,11 +269,11 @@ def test_pair_vn_streaming_chunking_invariance():
         n = int(rng.integers(0, 300))
         x = rng.integers(0, 2, n).astype(np.uint8)
         y = rng.integers(0, 2, n).astype(np.uint8)
+        want = pair_von_neumann(bs(x), bs(y)).bits
         cuts = rng.integers(0, n + 1, size=int(rng.integers(0, 5))).tolist()
-        pieces = list(zip(chunks_of(x, cuts), chunks_of(y, cuts)))
-        assert drain(PairVonNeumannExtractor(), pieces, two_sided=True) == pair_von_neumann(
-            bs(x), bs(y)
-        ).bits
+        for cut in (cuts, range(1, n), range(3, n, 3)):
+            pieces = list(zip(chunks_of(x, cut), chunks_of(y, cut)))
+            assert drain(PairVonNeumannExtractor(), pieces, two_sided=True) == want
 
 
 def test_streaming_counters():
@@ -248,6 +283,17 @@ def test_streaming_counters():
     ext.finish()
     assert ext.consumed == 8
     assert ext.emitted == 2
+    ext = PeresExtractor(2)
+    assert ext.feed(BitString("0011010")) == BitString("0")
+    assert ext.finish() == BitString("0")
+    assert (ext.consumed, ext.emitted) == (7, 2)
+    ext = PairVonNeumannExtractor()
+    ext.feed(BitString("110"), BitString("001"))
+    ext.feed(BitString("10"), BitString("10"))
+    assert (ext.consumed, ext.emitted) == (5, 1)
+    ext = XorOffsetExtractor(1)
+    ext.feed(BitString("110"), BitString("011"))
+    assert (ext.consumed, ext.emitted) == (3, 2)
     mismatched = PairVonNeumannExtractor()
     with pytest.raises(UsageError):
         mismatched.feed(BitString("01"), BitString("0"))

@@ -333,6 +333,32 @@ def test_distribution_csv_contents(tmp_path):
     assert p.read_text() == "index,bitstring,probability\n0,0,0.25\n1,1,0.75\n"
     write_deviation_csv(p, d)
     assert p.read_text() == "index,bitstring,deviation\n0,0,-0.25\n1,1,0.25\n"
+    # bit strings are zero-extended to n, leftmost bit most significant
+    write_distribution_csv(p, ExactDistribution.uniform(2))
+    assert p.read_text() == (
+        "index,bitstring,probability\n0,00,0.25\n1,01,0.25\n2,10,0.25\n3,11,0.25\n"
+    )
+    with pytest.raises(UsageError):
+        write_distribution_csv(p, ExactDistribution(1, np.full((2, 2), 0.25)))
+
+
+def test_law_csvs_match_per_row_reference_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_LAW_CHUNK", 7)
+    n = 5
+    probs = np.random.default_rng(7).random(1 << n) + 1e-3
+    probs[3] = 0.0
+    d = ExactDistribution(n, probs / probs.sum())
+    for write, column, shift in [
+        (write_distribution_csv, "probability", 0.0),
+        (write_deviation_csv, "deviation", 1.0 / (1 << n)),
+    ]:
+        p = tmp_path / f"{column}.csv"
+        write(p, d)
+        rows = [f"index,bitstring,{column}"] + [
+            f"{i},{BitString.from_index(i, n).to01()},{repr(float(q) - shift)}"
+            for i, q in enumerate(d.probs)
+        ]
+        assert p.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
 
 
 def test_reports_csv_contents(tmp_path):

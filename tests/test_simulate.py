@@ -258,7 +258,6 @@ def test_demon_on_fair_coins():
 
 def test_demon_is_deterministic_and_validates():
     bits = BitString("10110100")
-    assert demon_filter(bits, 0.5, seed=1) == demon_filter(bits, 0.5, seed=999)
     with pytest.raises(UsageError):
         demon_filter(bits, 1.0)
     with pytest.raises(UsageError):
@@ -307,6 +306,31 @@ def test_pipeline_deterministic(skewed_cfg):
     r2 = run_pipeline(5_000, cfg, seed=32)
     assert r1.records == r2.records
     assert r1.counters() == r2.counters()
+
+
+def test_double_counting_key_is_not_the_next_seeds_sampling_key(skewed_cfg):
+    # Sampling keeps the key of the seed alone, so streams without double
+    # counting are unchanged; double counting draws from stage 1 of the same
+    # seed, not from seed + 1, whose sampling (and the next sweep point) it
+    # would otherwise repeat.
+    seed, n, p = 33, 4_000, 0.5
+    cfg = QrngConfig(**{**skewed_cfg.to_dict(), "double_count_prob": p})
+    sampled = sample_pairs(n, cfg, seed).records
+    gaps = np.random.Generator(np.random.Philox(key=seed)).exponential(cfg.mean_pair_interval, n)
+    assert np.array_equal(sampled.t, np.cumsum(gaps))
+
+    def with_swaps(key):
+        swap = np.random.Generator(np.random.Philox(key=key)).random(n - 1) < p
+        b = sampled.b.copy()
+        b[:-1][swap] = sampled.b[1:][swap]
+        return b
+
+    got = run_pipeline(n, cfg, seed).records.b
+    assert np.array_equal(got, with_swaps([seed, 1]))
+    assert not np.array_equal(got, with_swaps(seed + 1))
+    for bad in (-1, 1 << 64):
+        with pytest.raises(UsageError):
+            sample_pairs(10, cfg, bad)
 
 
 def test_pipeline_rejects_unknown_mode(skewed_cfg):
