@@ -44,7 +44,7 @@ from .fileio import (
     write_stream_ndjson,
     write_sweep_csv,
 )
-from .simulate import demon_filter, demon_modulus, run_pipeline
+from .simulate import _check_n, _generator, demon_filter, demon_modulus, run_pipeline
 from .stats import (
     DEFAULT_ALPHA,
     borel_normality,
@@ -317,8 +317,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demon_demo(args) -> int:
+    _check_n(args.n)
+    rng = _generator(args.seed, 0)  # Philox key [seed, 0] draws as the bare key seed
     out = _out_dir(args)
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
     source = BitString.from_array((rng.random(args.n) < 0.5).astype(np.uint8))
     sieved = demon_filter(source, args.rho)
     k = demon_modulus(args.rho)

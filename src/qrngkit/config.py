@@ -95,8 +95,9 @@ class QrngConfig:
             return np.broadcast_to(base, t.shape + (4,)).copy()
         t = np.asarray(t, dtype=np.float64)[..., None]
         amp = np.asarray(self.drift.amplitudes)
-        phase = np.asarray(self.drift.phases)
-        return base + amp * np.sin(2.0 * math.pi * t / self.drift.period + phase)
+        # one sin per distinct phase (by default all four are 0)
+        phases, column = np.unique(self.drift.phases, return_inverse=True)
+        return base + amp * np.sin(2.0 * math.pi * t / self.drift.period + phases)[..., column]
 
     # --- serialization ------------------------------------------------------
 

@@ -10,7 +10,7 @@ class UsageError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """Requested computation exceeds the configured enumeration budget."""
+    """Requested computation exceeds a resource budget (enumeration, dense law, pair count)."""
 
 
 class InputFormatError(ValueError):

@@ -14,7 +14,6 @@ the modes by payload shape, which is unambiguous for n > 1.
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from itertools import islice
@@ -94,12 +93,11 @@ def read_bits(path) -> BitString:
     text = payload.translate(None, b"\r\n")
     if len(text) == n and (not text or max(text) <= 0x31 and min(text) >= 0x30):
         return BitString(text.decode("ascii"))
-    if len(payload) == math.ceil(n / 8):
+    packed = -(-n // 8)  # integer ceiling: n / 8 overflows a float for huge headers
+    if len(payload) == packed:
         arr = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
         return BitString.from_array(arr[:n])
-    raise InputFormatError(
-        f"{path}: payload is neither {n} ascii bits nor {math.ceil(n / 8)} packed bytes"
-    )
+    raise InputFormatError(f"{path}: payload is neither {n} ascii bits nor {packed} packed bytes")
 
 
 # --- pair streams ----------------------------------------------------------------

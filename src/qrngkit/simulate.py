@@ -26,7 +26,7 @@ import numpy as np
 
 from .bitstring import BitString
 from .config import QrngConfig
-from .errors import UsageError
+from .errors import ResourceBudgetError, UsageError
 from .streams import PairStream
 
 __all__ = [
@@ -69,6 +69,8 @@ class SimulationResult:
 
 
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
+PAIR_CAP = 2**25  # a run peaks at 105-135 B per pair, so at most about 4.5 GB
+_CHUNK = 1 << 14  # rows per tolist() in _scalars
 
 
 def _generator(seed: int, stage: int) -> np.random.Generator:
@@ -91,6 +93,8 @@ def _arrival_times(n: int, cfg: QrngConfig, rng: np.random.Generator) -> np.ndar
 def _check_n(n: int):
     if n < 1:
         raise UsageError("pair count must be positive")
+    if n > PAIR_CAP:
+        raise ResourceBudgetError(f"count {n} exceeds the per-run budget of {PAIR_CAP}")
 
 
 def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
@@ -106,10 +110,8 @@ def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     e0p, e1p, e0t, e1t = cfg.efficiencies_at(times).T
     s = math.sin(cfg.theta) ** 2
     c = math.cos(cfg.theta) ** 2
-    weights = np.stack(
-        [c * e0p * e0t, s * e0p * e1t, s * e1p * e0t, c * e1p * e1t], axis=1
-    )
-    cum = np.cumsum(weights, axis=1)
+    weights = np.stack([c * e0p * e0t, s * e0p * e1t, s * e1p * e0t, c * e1p * e1t], axis=1)
+    cum = np.cumsum(weights, axis=1, out=weights)  # in place: no second (n, 4) array
     u = rng.random(n) * cum[:, -1]
     cell = np.minimum((u[:, None] >= cum).sum(axis=1), 3)
     a = (cell >> 1).astype(np.uint8)
@@ -160,6 +162,12 @@ def apply_double_counting(stream: PairStream, p_dc: float, seed: int) -> PairStr
     return PairStream(stream.t, stream.a, b)
 
 
+def _scalars(*columns):
+    """Rows of the columns as Python scalars, converted a chunk at a time to bound memory."""
+    for lo in range(0, len(columns[0]), _CHUNK):
+        yield from zip(*(c[lo : lo + _CHUNK].tolist() for c in columns))
+
+
 def dead_time_filter(stream: PairStream, T_d: float) -> PairStream:
     """Drop records closer than T_d to the previously kept record.
 
@@ -171,13 +179,19 @@ def dead_time_filter(stream: PairStream, T_d: float) -> PairStream:
     if T_d == 0.0 or len(stream) <= 1:
         return stream
     t = stream.t
-    keep = np.zeros(len(stream), dtype=bool)
-    keep[0] = True
-    last = t[0]
-    for i in range(1, len(stream)):
-        if t[i] - last > T_d:
+    # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1]
+    # in floats too); a gap <= T_d after a kept record drops it. The rest follow
+    # a dropped record and loop, in runs that each start 2 after a kept record.
+    keep = np.ones(len(stream), dtype=bool)
+    keep[1:] = np.diff(t) > T_d
+    chained = np.flatnonzero(~keep[1:-1] & ~keep[2:]) + 2
+    run_start = np.diff(chained, prepend=-1) != 1
+    for i, ti, anchor, start in _scalars(chained, t[chained], t[chained - 2], run_start):
+        if start:
+            last = anchor
+        if ti - last > T_d:
+            last = ti
             keep[i] = True
-            last = t[i]
     return PairStream(t[keep], stream.a[keep], stream.b[keep])
 
 
@@ -196,14 +210,15 @@ def demon_modulus(rho: float) -> int:
 def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
     """Input indices surviving the forced-zero rule of budget rho."""
     k = demon_modulus(rho)
-    kept = []
-    out_pos = 1
-    for i, bit in enumerate(bits):
-        if out_pos % k == 0 and bit:
-            continue
-        kept.append(i)
-        out_pos += 1
-    return np.asarray(kept, dtype=np.intp)
+    # Zeros always pass. The one at input index o lands on output slot
+    # 1 + o - D, D the ones dropped before it, and is dropped iff k divides it.
+    keep = np.ones(len(bits), dtype=bool)
+    dropped = 0
+    for (o,) in _scalars(np.flatnonzero(bits)):
+        if (1 + o - dropped) % k == 0:
+            keep[o] = False
+            dropped += 1
+    return np.flatnonzero(keep)
 
 
 def demon_filter(bits: BitString, rho: float) -> BitString:

@@ -1,11 +1,11 @@
-"""Small statistical utilities and bad inputs shared across test modules."""
+"""Small statistical utilities, reference loops and bad inputs shared across test modules."""
 
 import math
 
 import numpy as np
 from scipy.special import gammaincc
 
-from qrngkit import QrngConfig
+from qrngkit import QrngConfig, demon_modulus
 
 
 def random_configs(count, seed):
@@ -33,6 +33,32 @@ def coin_flips(key: int, n: int, p: float = 0.5) -> np.ndarray:
     """Deterministic Bernoulli(p) uint8 array from a counter-based generator."""
     rng = np.random.Generator(np.random.Philox(key=key))
     return (rng.random(n) < p).astype(np.uint8)
+
+
+def dead_time_keep_loop(t, T_d) -> np.ndarray:
+    """Keep mask of the per-record dead-time rule, the oracle for dead_time_filter."""
+    keep = np.zeros(len(t), dtype=bool)
+    if len(t):
+        keep[0] = True
+        last = t[0]
+    for i in range(1, len(t)):
+        if t[i] - last > T_d:
+            keep[i] = True
+            last = t[i]
+    return keep
+
+
+def demon_kept_loop(bits, rho) -> np.ndarray:
+    """Kept input indices of the per-bit forced-zero rule, the oracle for the demon."""
+    k = demon_modulus(rho)
+    kept = []
+    out_pos = 1
+    for i, bit in enumerate(bits):
+        if out_pos % k == 0 and bit:
+            continue
+        kept.append(i)
+        out_pos += 1
+    return np.asarray(kept, dtype=np.intp)
 
 
 # Files each defect of which ends in InputFormatError (CLI exit 4), never in a

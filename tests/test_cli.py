@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,11 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import BAD_CONFIG_TEXTS
+from helpers import BAD_CONFIG_TEXTS, coin_flips
 from qrngkit import (
     BitString,
     QrngConfig,
     UsageError,
+    demon_filter,
     read_bits,
     read_stream_ndjson,
     write_bits,
@@ -171,6 +173,26 @@ def test_simulate_demon_flag_forces_slots(tmp_path):
     assert z[0::2].any()
     m = read_manifest(tmp_path)
     assert m["results"]["dropped_demon"] > 0
+
+
+def test_simulate_stream_with_every_imperfection_is_pinned(tmp_path):
+    # the stream's bytes are part of the draw contract; this digest was taken
+    # from the per-record dead-time and demon loops and the per-column drift sin
+    cfg = tmp_path / "drift.json"
+    cfg.write_text(json.dumps({
+        "theta": 0.6283185307179586, "e0_plus": 0.3, "e1_plus": 0.33,
+        "e0_times": 0.29, "e1_times": 0.3,
+        "drift": {"amplitudes": [0.02, 0.01, 0.02, 0.0], "period": 50,
+                  "phases": [0.0, 1.5, 0.0, 3.0]},
+    }))
+    assert run_cli(
+        "simulate", "--pairs", 20_000, "--seed", 11, "--dead-time", 0.3, "--demon", 0.5,
+        "--double-count", 0.05, "--config", cfg, "--out-dir", tmp_path,
+    ) == 0
+    digest = hashlib.sha256((tmp_path / "stream.ndjson").read_bytes()).hexdigest()
+    assert digest == "62d03a606726fe72dc3327f1fa0abd0a6f842069de9b2f2970e25084c75bfd51"
+    r = read_manifest(tmp_path)["results"]
+    assert (r["kept"], r["dropped_dead_time"], r["dropped_demon"]) == (12146, 4594, 3260)
 
 
 def test_simulate_physical_mode_reports_losses(tmp_path):
@@ -415,6 +437,15 @@ def test_demon_demo_tighter_budget(tmp_path):
     assert not forced.any()
 
 
+def test_demon_demo_draws_the_coins_of_the_bare_seed_key(tmp_path):
+    # keyed [seed, 0] through the simulator's seed check; Philox draws that as key=seed
+    assert run_cli("demon-demo", "--rho", 0.5, "--n", 5_000, "--seed", 3,
+                   "--out-dir", tmp_path) == 0
+    source = coin_flips(3, 5_000)
+    assert np.array_equal(read_bits(tmp_path / "source.bits").to_array(), source)
+    assert read_bits(tmp_path / "sieved.bits") == demon_filter(BitString.from_array(source), 0.5)
+
+
 # --- shared flag handling ------------------------------------------------------------
 
 
@@ -441,14 +472,18 @@ def test_config_file_errors(tmp_path):
                    "--out-dir", tmp_path) == 4
 
 
-# Hostile argv and the documented exit code of each: 0 success, 2 usage, 4
-# malformed file. {bits} is an 8-bit input file, {cfgN} bad config file N.
+# Hostile argv and the documented exit code of each: 0 success, 2 usage, 3
+# budget, 4 malformed file. {bits} is an 8-bit input file, {cfgN} bad config file N.
 HOSTILE_ARGV = [
     ("extract --method peres --depth 5000 --in {bits}", 0),
     ("extract --method peres --depth 0 --in {bits}", 2),
     ("extract --method peres --depth -3 --in {bits}", 2),
     ("simulate --pairs 10 --seed -1", 2),
     ("simulate --pairs 10 --dead-time nan", 2),
+    ("simulate --pairs 1e13", 3),
+    ("sweep --grid 0:pi/2:3 --empirical 1e13", 3),
+    ("demon-demo --seed -1", 2),
+    ("demon-demo --n 1e13", 3),
     *[("exact --n 2 --config {cfg%d}" % i, 4) for i in range(len(BAD_CONFIG_TEXTS))],
 ]
 

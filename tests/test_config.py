@@ -79,6 +79,19 @@ def test_efficiencies_at_honours_phase():
     assert eff[0, 2] == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("phases", [(0.0,) * 4, (0.5, 0.5, 1.0, 0.5), (3.0, 2.0, 1.0, 0.25)])
+def test_efficiencies_at_equals_the_per_column_sinusoid(phases):
+    # one sin per distinct phase gives the same floats as one per column
+    drift = DriftSpec(amplitudes=(0.02, 0.01, 0.03, 0.0), period=37.0, phases=phases)
+    cfg = QrngConfig(e0_plus=0.3, e1_plus=0.33, e0_times=0.29, e1_times=0.3, drift=drift)
+    t = np.cumsum(np.random.default_rng(5).exponential(1.0, 1000))[:, None]
+    expected = np.asarray(cfg.efficiencies) + np.asarray(drift.amplitudes) * np.sin(
+        2.0 * math.pi * t / drift.period + np.asarray(phases)
+    )
+    assert np.array_equal(cfg.efficiencies_at(t[:, 0]), expected)
+    assert np.array_equal(cfg.efficiencies_at(7.5), cfg.efficiencies_at(np.array([7.5]))[0])
+
+
 def test_dict_round_trip_with_drift():
     cfg = QrngConfig(
         theta=0.4,

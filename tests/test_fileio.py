@@ -82,6 +82,7 @@ def test_write_bits_rejects_unknown_mode(tmp_path):
         b"#bits=4\n01\n",         # too few ascii bits, wrong packed size
         b"#bits=4\n0121",         # right ascii length but not 0/1 characters
         b"#bits=16\n\xff",        # one packed byte short
+        b"#bits=" + b"9" * 400 + b"\n0",  # a count beyond any float
     ],
 )
 def test_read_bits_rejects_malformed_files(tmp_path, raw):
@@ -89,6 +90,26 @@ def test_read_bits_rejects_malformed_files(tmp_path, raw):
     p.write_bytes(raw)
     with pytest.raises(InputFormatError):
         read_bits(p)
+
+
+_BIT_FRAGMENTS = [b"#bits=", b"\n", b"\r", b"0", b"1", b"8", b"-", b" ", b"_", b"9" * 400,
+                  b"\x00", b"\xff", b"\x81"]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=60),
+                 st.lists(st.sampled_from(_BIT_FRAGMENTS), max_size=30).map(b"".join),
+                 st.tuples(st.integers(-(10**400), 10**400), st.binary(max_size=20)).map(
+                     lambda nb: b"#bits=%d\n%b" % nb)))
+def test_bit_reader_parses_or_raises_input_format_error(tmp_path, raw):
+    p = tmp_path / "fuzz.bits"
+    p.write_bytes(raw)
+    try:
+        bits = read_bits(p)
+    except InputFormatError:
+        return
+    assert isinstance(bits, BitString)
 
 
 def test_atomic_write_leaves_no_temp_file(tmp_path):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import chi2_against
+from helpers import chi2_against, dead_time_keep_loop, demon_kept_loop
 from qrngkit import (
     BitString,
     DriftSpec,
@@ -21,6 +23,7 @@ from qrngkit import (
     sample_pairs,
     sample_pairs_physical,
 )
+from qrngkit.simulate import _demon_kept_indices
 
 
 def cells(stream):
@@ -219,6 +222,42 @@ def test_dead_time_rejects_negative():
         dead_time_filter(stream_at([0.0]), -1.0)
 
 
+def random_stream(rng, n: int, dyadic: bool) -> PairStream:
+    """n records with exponential gaps, or gaps on the 1/8 grid where ties are exact."""
+    gaps = rng.integers(1, 12, n) / 8 if dyadic else rng.exponential(rng.uniform(0.05, 2.0), n)
+    a, b = rng.integers(0, 2, (2, n), dtype=np.uint8)
+    return PairStream(np.cumsum(gaps), a, b)
+
+
+def assert_dead_time_matches_loop(s: PairStream, T_d: float):
+    keep = dead_time_keep_loop(s.t, T_d)
+    assert dead_time_filter(s, T_d) == PairStream(s.t[keep], s.a[keep], s.b[keep])
+
+
+# 0.25, 0.5 and 1.5 put t[i] - last == T_d exactly on the dyadic grid
+@pytest.mark.parametrize("T_d", [0.1, 0.3, 1.0, 3.0, math.inf, 0.25, 0.5, 1.5])
+def test_dead_time_matches_the_per_record_loop(T_d):
+    rng = np.random.default_rng(40)
+    for trial in range(600):
+        s = random_stream(rng, int(rng.integers(0, 40)), dyadic=trial % 2 == 1)
+        assert_dead_time_matches_loop(s, T_d)
+    assert_dead_time_matches_loop(random_stream(rng, 50_000, dyadic=False), T_d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(1, 24).map(lambda g: g / 8), st.floats(1e-6, 4.0)),
+             max_size=60),
+    st.one_of(st.sampled_from([0.125, 0.25, 1.0, math.inf]), st.floats(0.0, 5.0)),
+)
+def test_dead_time_property(gaps, T_d):
+    n = len(gaps)
+    t = np.cumsum(np.asarray(gaps, dtype=float))
+    assert_dead_time_matches_loop(
+        PairStream(t, np.arange(n, dtype=np.uint8) & 1, np.zeros(n, np.uint8)), T_d
+    )
+
+
 # --- demon -----------------------------------------------------------------------------
 
 
@@ -262,6 +301,31 @@ def test_demon_is_deterministic_and_validates():
         demon_filter(bits, 1.0)
     with pytest.raises(UsageError):
         demon_filter(bits, 0.0)
+
+
+DEMON_BUDGETS = [0.05, 0.3, 0.5, 2 / 3, 0.8, 0.95]
+
+
+@pytest.mark.parametrize("rho", DEMON_BUDGETS)
+def test_demon_matches_the_per_bit_loop(rho):
+    rng = np.random.default_rng(41)
+    for trial in range(600):
+        p = (0.0, 1.0, rng.uniform())[trial % 3]  # all zeros, all ones, mixed
+        bits = (rng.random(int(rng.integers(0, 60))) < p).astype(np.uint8)
+        kept = _demon_kept_indices(bits, rho)
+        assert kept.dtype == np.intp
+        assert np.array_equal(kept, demon_kept_loop(bits, rho))
+    bits = (rng.random(50_000) < 0.5).astype(np.uint8)
+    expected = BitString.from_array(bits[demon_kept_loop(bits, rho)])
+    assert demon_filter(BitString.from_array(bits), rho) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=80),
+       st.one_of(st.sampled_from(DEMON_BUDGETS), st.floats(0.01, 0.999)))
+def test_demon_property(bits, rho):
+    bits = np.asarray(bits, dtype=np.uint8)
+    assert np.array_equal(_demon_kept_indices(bits, rho), demon_kept_loop(bits, rho))
 
 
 # --- pipeline ---------------------------------------------------------------------------
