@@ -9,6 +9,12 @@ ascii mode the payload is n characters of '0'/'1' (newlines permitted and
 ignored). In packed mode it is ceil(n/8) raw bytes, least significant bit
 first within each byte, zero padding in the final byte. Readers distinguish
 the modes by payload shape, which is unambiguous for n > 1.
+
+Pair streams are NDJSON, read in blocks of whole lines on one of two paths.
+A block of the writer's exact form is checked at fixed byte offsets and its
+times parsed by one json.loads. Any other block takes the general path, which
+parses each record as a JSON object: it reads the forms the format allows
+but the writer never emits, and it names the line of a bad record.
 """
 
 from __future__ import annotations
@@ -84,11 +90,11 @@ def read_bits(path) -> BitString:
     if eol < 0 or not raw.startswith(b"#bits="):
         raise InputFormatError(f"{path}: missing '#bits=<n>' header")
     try:
+        if not raw[6:eol].isdigit():  # ASCII digits only: no sign, space or '_'
+            raise ValueError
         n = int(raw[6:eol])
     except ValueError:
-        raise InputFormatError(f"{path}: unreadable bit count in header") from None
-    if n < 0:
-        raise InputFormatError(f"{path}: negative bit count")
+        raise InputFormatError(f"{path}: bit count in header is not a plain decimal") from None
     payload = raw[eol + 1 :]
     text = payload.translate(None, b"\r\n")
     if len(text) == n and (not text or max(text) <= 0x31 and min(text) >= 0x30):
@@ -103,23 +109,70 @@ def read_bits(path) -> BitString:
 # --- pair streams ----------------------------------------------------------------
 
 
-# Streams are written in chunks of _WRITE_CHUNK records and read in chunks of
-# about _READ_CHUNK bytes of lines, so neither side makes a Python call per
-# record nor holds more than one chunk of text.
+# Streams are written in chunks of _WRITE_CHUNK records, with one list repr
+# for the times, and read in blocks of _READ_CHUNK bytes of whole lines. A
+# block of the writer's exact form takes the fast path, _parse_canonical. The
+# general path, _parse_records, stays: it alone reads the other forms the
+# format allows (spaces, CRLF, other key orders, blank lines) and names a bad line.
 _WRITE_CHUNK = 1 << 16
 _READ_CHUNK = 1 << 22
 # Same text as json.dumps(..., separators=(",", ":")): json formats a finite
-# float with float.__repr__, and PairStream holds only finite times.
-_RECORD = '{"t":%r,"a":%d,"b":%d}\n'
+# float with float.__repr__, as list.__repr__ does, and PairStream holds only
+# finite times. A record is '{"t":', its time and _SUFFIXES[2*a + b].
+_SUFFIXES = tuple(',"a":%d,"b":%d}\n' % (a, b) for a in (0, 1) for b in (0, 1))
+# The fixed bytes of that form as (offset, byte): from the line start for
+# '{"t":', and back from the newline for the rest, skipping the two digits.
+_HEAD = tuple(enumerate(b'{"t":'))
+_TAIL = tuple((k - 13, c) for k, c in enumerate(b',"a":0,"b":0}\n') if k not in (5, 11))
 _BAD_RECORD = (ValueError, KeyError, OverflowError, RecursionError)
 
 
 def write_stream_ndjson(path, stream: PairStream) -> Path:
     with _atomic_open(path) as fh:
         for lo in range(0, len(stream), _WRITE_CHUNK):
-            cols = (c[lo : lo + _WRITE_CHUNK].tolist() for c in (stream.t, stream.a, stream.b))
-            fh.write("".join([_RECORD % rec for rec in zip(*cols)]).encode("ascii"))
+            hi = lo + _WRITE_CHUNK
+            times = repr(stream.t[lo:hi].tolist())[1:-1].split(", ")
+            parts = ['{"t":'] * (3 * len(times))
+            parts[1::3] = times
+            codes = (2 * stream.a[lo:hi] + stream.b[lo:hi]).tolist()
+            parts[2::3] = map(_SUFFIXES.__getitem__, codes)
+            fh.write("".join(parts).encode("ascii"))
     return Path(path)
+
+
+def _parse_canonical(block: bytes):
+    """Columns of a block whose every line is {"t":T,"a":A,"b":B}, else None.
+
+    ``block`` ends in a newline. The tokens T are read by one json.loads, with
+    the checked fixed bytes blanked to spaces and each newline made a comma,
+    so JSON's number grammar applies to them. Never raises: a block it does
+    not accept whole is left to _parse_records.
+    """
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (ends - starts < 19).any():  # room for the fixed bytes and a token
+        return None
+    a, b = buf[ends - 8] - ord("0"), buf[ends - 2] - ord("0")
+    if (a | b).max() > 1:
+        return None
+    text = buf.copy()
+    for base, fixed in ((starts, _HEAD), (ends, _TAIL)):
+        for k, c in fixed:
+            at = base + k
+            if (text[at] != c).any():
+                return None
+            text[at] = ord(" ")
+    text[ends - 8] = text[ends - 2] = ord(" ")  # the digits, read above
+    text[ends[:-1]] = ord(",")
+    try:
+        t = json.loads("[" + text.tobytes().decode("ascii") + "]")
+        if len(t) != ends.size or set(map(type, t)) - {int, float}:
+            return None
+        t = np.array(t, dtype=np.float64)
+    except _BAD_RECORD:
+        return None
+    return (t, a, b) if np.isfinite(t).all() else None
 
 
 def _parse_records(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,21 +222,38 @@ def _record_line(path, k: int) -> int:
         return next(islice(lines, k, None))
 
 
+def _blocks(fh):
+    """The file in runs of whole lines of about _READ_CHUNK bytes, each ending in a newline."""
+    rest = b""
+    while data := fh.read(_READ_CHUNK):
+        rest += data
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest + b"\n"
+
+
 def read_stream_ndjson(path) -> PairStream:
     chunks = []
-    lineno = 0  # lines before the current chunk, blank ones included
+    lineno = 0  # lines before the current block, blank ones included
     with open(path, "rb") as fh:
-        while lines := fh.readlines(_READ_CHUNK):
-            try:
-                chunks.append(_parse_records(lines))
-            except _BAD_RECORD:
-                # A chunk fails exactly when one of its lines fails alone.
-                bad = next(i for i, line in enumerate(lines, start=1) if not _parses(line))
-                raise InputFormatError(
-                    f"{path}:{lineno + bad}: expected a {{t,a,b}} record with a finite "
-                    "number t and a, b each 0 or 1"
-                ) from None
-            lineno += len(lines)
+        for block in _blocks(fh):
+            cols = _parse_canonical(block)
+            if cols is None:
+                lines = block.split(b"\n")[:-1]  # on newlines only, as readlines splits
+                try:
+                    cols = _parse_records(lines)
+                except _BAD_RECORD:
+                    # A block fails exactly when one of its lines fails alone.
+                    bad = next(i for i, line in enumerate(lines, start=1) if not _parses(line))
+                    raise InputFormatError(
+                        f"{path}:{lineno + bad}: expected a {{t,a,b}} record with a finite "
+                        "number t and a, b each 0 or 1"
+                    ) from None
+            chunks.append(cols)
+            lineno += block.count(b"\n")
     t, a, b = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
     try:
         return PairStream(t, a, b)

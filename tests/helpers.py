@@ -1,11 +1,13 @@
 """Small statistical utilities, reference loops and bad inputs shared across test modules."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaincc
 
-from qrngkit import QrngConfig, demon_modulus
+from qrngkit import InputFormatError, PairStream, QrngConfig, demon_modulus
 
 
 def random_configs(count, seed):
@@ -59,6 +61,32 @@ def demon_kept_loop(bits, rho) -> np.ndarray:
         kept.append(i)
         out_pos += 1
     return np.asarray(kept, dtype=np.intp)
+
+
+def read_stream_per_line(path) -> PairStream:
+    """The README's pair-stream rules applied one line at a time, the oracle for
+    read_stream_ndjson: the same PairStream, or InputFormatError at the same path:line."""
+    records = []
+    for line_no, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line.strip().decode("ascii"))
+            ok = (
+                type(rec) is dict and sorted(rec) == ["a", "b", "t"]
+                and type(rec["t"]) in (int, float) and math.isfinite(rec["t"])
+                and all(type(rec[k]) is int and rec[k] in (0, 1) for k in "ab")
+            )
+        except (ValueError, OverflowError, RecursionError):
+            ok = False
+        if not ok:
+            raise InputFormatError(f"{path}:{line_no}: not a record")
+        records.append((line_no, float(rec["t"]), rec["a"], rec["b"]))
+    for i, (line_no, t, _, _) in enumerate(records):
+        if t < 0 or (i and t <= records[i - 1][1]):
+            raise InputFormatError(f"{path}:{line_no}: record times out of order")
+    _, t, a, b = zip(*records) if records else ((), (), (), ())
+    return PairStream(np.array(t, dtype=np.float64), np.array(a), np.array(b))
 
 
 # Files each defect of which ends in InputFormatError (CLI exit 4), never in a

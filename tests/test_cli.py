@@ -7,16 +7,20 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import BAD_CONFIG_TEXTS, coin_flips
 from qrngkit import (
     BitString,
+    PairStream,
     QrngConfig,
     UsageError,
     demon_filter,
     read_bits,
     read_stream_ndjson,
     write_bits,
+    write_stream_ndjson,
     xor_distribution,
 )
 from qrngkit.cli import main, parse_angle, parse_count
@@ -357,6 +361,8 @@ def test_analyze_malformed_bit_file_exit_code(tmp_path):
     bad = tmp_path / "bad.bits"
     bad.write_bytes(b"no header here\n")
     assert run_cli("analyze", "--in", bad, "--out-dir", tmp_path) == 4
+    bad.write_bytes(b"#bits=+4\n0110\n")  # a signed count
+    assert run_cli("analyze", "--in", bad, "--out-dir", tmp_path) == 4
 
 
 def test_analyze_malformed_stream_exit_code(tmp_path):
@@ -499,3 +505,79 @@ def test_hostile_argv_ends_in_its_exit_code(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert (code == 0) == (err == "")
+
+
+# Every documented flag of every subcommand, each with valid values and bad
+# ones. Budget flags stay small, so no case draws much or runs long; the
+# budget refusals themselves (1e13 pairs) are cheap.
+_FILES = ["bits", "bad_bits", "stream", "bad_stream", "config", "bad_config", "missing", "dir"]
+
+
+def _file(good):
+    """The good file for the flag half the time, any file else."""
+    return st.one_of(st.just(good), st.sampled_from(_FILES)).map(lambda name: "{%s}" % name)
+
+
+_FLOAT = st.one_of(st.sampled_from(["0", "0.3", "1", "-1", "nan", "inf", "1e300", "x", ""]),
+                   st.floats(0, 1).map(repr))
+_INT = st.one_of(st.integers(-3, 20).map(str), st.sampled_from(["1e3", "2.5", "x", ""]))
+_COUNT = st.one_of(st.integers(1, 2000).map(str),
+                   st.sampled_from(["-2", "0", "1e3", "1e13", "0.5", "x"]))
+_SEED = st.sampled_from(["0", "7", "-1", str(2**64), "x"])
+_CONFIG_FLAGS = {
+    "--config": _file("config"),
+    "--theta": st.sampled_from(["0.6", "pi/5", "pi/0", "2", "nan", "x"]),
+    "--e": st.sampled_from(["0.3,0.33,0.29,0.3", "1,1,1,1", "0,1,1,1", "1,1,1", "1,1,1,nan"]),
+    "--equal-e": st.none(),
+}
+_FLAGS = {
+    "exact": {"--n": st.integers(-1, 8).map(str), "--j": st.integers(-1, 4).map(str),
+              "--max-bits": st.integers(-1, 14).map(str), "--tv": st.none(), **_CONFIG_FLAGS},
+    "simulate": {"--pairs": _COUNT, "--seed": _SEED,
+                 "--mode": st.sampled_from(["ideal", "physical", "x"]), "--mean-interval": _FLOAT,
+                 "--dead-time": _FLOAT, "--double-count": _FLOAT, "--demon": _FLOAT,
+                 **_CONFIG_FLAGS},
+    "extract": {"--method": st.sampled_from(["xor", "vn", "peres", "pair-vn", "x"]),
+                "--in": _file("bits"), "--in-x": _file("bits"), "--in-y": _file("bits"),
+                "--stream": _file("stream"), "--j": _INT,
+                "--depth": st.integers(-2, 5000).map(str),
+                "--format": st.sampled_from(["ascii", "packed", "x"])},
+    "analyze": {"--in": _file("bits"), "--stream": _file("stream"),
+                "--tests": st.sampled_from(["chi2", "borel", "chi2,borel", "x", ""]),
+                "--k": st.sampled_from(["1", "1,2", "0", "-1", "30", "x", ""]), "--alpha": _FLOAT},
+    "sweep": {"--thetas": st.sampled_from(["0.1", "pi/5,pi/4", "0,1.5", "nan", "1,,2", ""]),
+              "--grid": st.sampled_from(["0:pi/2:3", "1:0:2", "0:1:1", "a:b:2", "0:1:x"]),
+              "--empirical": st.sampled_from(["1", "500", "1e13", "0", "x"]), "--seed": _SEED,
+              **_CONFIG_FLAGS},
+    "demon-demo": {"--rho": _FLOAT, "--n": _COUNT, "--seed": _SEED},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    argv = [command]
+    required = [flag for flag in ("--n", "--pairs", "--method") if flag in flags]
+    for flag in required + draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
+        value = draw(flags[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_any_documented_argv_ends_in_a_documented_exit_code(tmp_path, capsys, argv):
+    files = {name: tmp_path / name for name in _FILES}
+    bits = coin_flips(1, 1024)
+    write_bits(files["bits"], BitString.from_array(bits))
+    files["bad_bits"].write_bytes(b"#bits=+4\n0110\n")
+    write_stream_ndjson(files["stream"], PairStream(np.arange(1024.0), bits, bits[::-1]))
+    files["bad_stream"].write_text('{"t":0.5,"a":0,"b":1}\n{"t":0.5,"a":1,"b":1}\n')
+    files["config"].write_text('{"theta": 0.6}')
+    files["bad_config"].write_bytes(BAD_CONFIG_TEXTS[0])
+    files["dir"].mkdir(exist_ok=True)
+    argv = [part.format(**files) for part in argv]
+    assert run_cli(*argv, "--out-dir", tmp_path / "out") in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import read_stream_per_line
 from qrngkit import fileio
 from qrngkit import (
     BitString,
@@ -83,6 +84,10 @@ def test_write_bits_rejects_unknown_mode(tmp_path):
         b"#bits=4\n0121",         # right ascii length but not 0/1 characters
         b"#bits=16\n\xff",        # one packed byte short
         b"#bits=" + b"9" * 400 + b"\n0",  # a count beyond any float
+        b"#bits=1_0\n0110011001\n",  # counts int() would coerce: to 10, 4, 4 and 0
+        b"#bits= 4 \n0110\n",
+        b"#bits=+4\n0110\n",
+        b"#bits=-0\n",
     ],
 )
 def test_read_bits_rejects_malformed_files(tmp_path, raw):
@@ -334,6 +339,159 @@ def test_stream_reader_parses_or_raises_input_format_error(tmp_path, raw):
     except InputFormatError:
         return
     assert isinstance(s, PairStream)
+
+
+_EDIT_BYTES = b'{}":,tab\t0123456789.eE+- \r\n[]'
+
+
+def _agree_with_oracle(path):
+    try:
+        expected = read_stream_per_line(path)
+    except InputFormatError as exc:
+        with pytest.raises(InputFormatError) as got:
+            read_stream_ndjson(path)
+        assert str(got.value).split(": ")[0] == str(exc).split(": ")[0]
+    else:
+        assert read_stream_ndjson(path) == expected
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gaps=st.lists(st.floats(1e-9, 10.0), min_size=1, max_size=12),
+       edits=st.lists(st.tuples(st.sampled_from("fid"), st.integers(0, 1000),
+                                st.sampled_from(_EDIT_BYTES)), min_size=1, max_size=3),
+       read_chunk=st.sampled_from([16, 64, 200]))
+def test_stream_reader_agrees_with_per_line_oracle(tmp_path, monkeypatch, gaps, edits, read_chunk):
+    monkeypatch.setattr(fileio, "_WRITE_CHUNK", 4)
+    monkeypatch.setattr(fileio, "_READ_CHUNK", read_chunk)
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, _stream(np.cumsum(gaps)))
+    raw = bytearray(p.read_bytes())
+    for op, where, byte in edits:  # flip, insert or delete one byte
+        i = where % (len(raw) + 1)
+        if op == "i":
+            raw.insert(i, byte)
+        elif i < len(raw):
+            raw[i : i + 1] = [byte] if op == "f" else []
+    p.write_bytes(raw)
+    _agree_with_oracle(p)
+
+
+def test_every_one_byte_edit_of_a_record_agrees_with_the_oracle(tmp_path, small_chunks):
+    first, last = b'{"t":0.5,"a":0,"b":1}\n', b'{"t":9.5,"a":0,"b":0}\n'
+    middle = b'{"t":1.25,"a":1,"b":0}\n'
+    p = tmp_path / "s.ndjson"
+    for i in range(len(middle)):
+        for byte in _EDIT_BYTES:
+            for edited in (middle[:i] + bytes([byte]) + middle[i + 1 :],
+                           middle[:i] + bytes([byte]) + middle[i:],
+                           middle[:i] + middle[i + 1 :]):
+                p.write_bytes(first + edited + last)
+                _agree_with_oracle(p)
+
+
+_FLOATS_OF_EVERY_FORM = st.one_of(
+    st.floats(0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(0.0, 1e-300),  # subnormals and exponent form
+    st.integers(0, 2**60).map(float),  # integral, '.0' or exponent form
+    st.sampled_from([5e-324, 1e-7, 1e16, 1e22, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_FLOATS_OF_EVERY_FORM, max_size=20, unique=True).map(sorted))
+def test_stream_writer_matches_json_dumps_for_any_times(tmp_path, small_chunks, times):
+    s = _stream(times)
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, s)
+    assert p.read_bytes() == _reference_ndjson(s)
+    assert read_stream_ndjson(p) == s
+
+
+@pytest.fixture
+def no_general_path(monkeypatch):
+    """Make the general record parser fail, so only the fast path can read."""
+    def refuse(lines):
+        raise AssertionError("general path taken")
+    monkeypatch.setattr(fileio, "_parse_records", refuse)
+
+
+def test_writer_output_takes_the_fast_path(tmp_path, small_chunks, no_general_path):
+    s = _stream(np.cumsum(np.random.default_rng(5).exponential(0.3, 50)))
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, s)
+    assert p.stat().st_size > 10 * fileio._READ_CHUNK
+    assert read_stream_ndjson(p) == s
+    p.write_bytes(p.read_bytes()[:-1])  # the final line, unterminated at EOF
+    assert read_stream_ndjson(p) == s
+
+
+def test_final_line_without_newline(tmp_path, small_chunks):
+    p = tmp_path / "s.ndjson"
+    for n in (1, 2, 5):
+        s = _stream(np.arange(n) + 0.5)
+        write_stream_ndjson(p, s)
+        p.write_bytes(p.read_bytes()[:-1])
+        assert read_stream_ndjson(p) == s
+    p.write_bytes(b'{"t":0.5,"a":0,"b":0}\n{"t":1.5,"a":0,"b":2}')
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:2:"):
+        read_stream_ndjson(p)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a lone \r ends no line: two records on line 2
+        (b'{"t":0.5,"a":0,"b":0}\n{"t":1.5,"a":0,"b":1}\r{"t":2.5,"a":0,"b":1}\n', 2),
+        # a lone \r as JSON whitespace inside a good record, then a bad line 3
+        (b'{"t":0.5,"a":0,"b":0}\n{"t":1.5,\r"a":0,"b":1}\n{"t":2.5,"a":2,"b":1}\n', 3),
+        (b'{"t":0.5,\r"a":0,"b":0}\r\n\r\n{"t":1.5,"a":0,"b":1}\n{"t":2.5,"a":0,"b":1}\n'
+         b'{"t":1.0,"a":0,"b":1}\n', 5),
+    ],
+)
+def test_lone_carriage_return_is_counted_by_newlines(tmp_path, small_chunks, text, line):
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(text)
+    with pytest.raises(InputFormatError, match=rf"s\.ndjson:{line}:"):
+        read_stream_ndjson(p)
+
+
+def test_spaces_inside_the_time_token(tmp_path, small_chunks):
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(b'{"t": 0.5 ,"a":0,"b":1}\n{"t":\t1.5,"a":1,"b":0}\n')
+    assert read_stream_ndjson(p) == PairStream(
+        np.array([0.5, 1.5]), np.array([0, 1], np.uint8), np.array([1, 0], np.uint8)
+    )
+    for token in (b"1 .5", b"1. 5", b"- 1.5", b"1e 5", b" "):
+        p.write_bytes(b'{"t":0.5,"a":0,"b":1}\n{"t":' + token + b',"a":1,"b":0}\n')
+        with pytest.raises(InputFormatError, match=r"s\.ndjson:2:"):
+            read_stream_ndjson(p)
+
+
+@pytest.mark.parametrize(
+    "token", [b"1.5,2.5", b"01", b"+1", b".5", b"1.", b"-", b"1e", b"0x1", b"1_0", b"[1.5]"],
+)
+def test_fast_path_form_around_a_bad_time_is_rejected(tmp_path, token):
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(b'{"t":0.5,"a":0,"b":1}\n{"t":' + token + b',"a":1,"b":0}\n'
+                  b'{"t":9.5,"a":0,"b":0}\n')
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:2:"):
+        read_stream_ndjson(p)
+
+
+def test_canonical_block_after_a_crlf_block(tmp_path, small_chunks):
+    s = _stream(np.arange(12) + 0.25)
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, s)
+    lines = p.read_bytes().split(b"\n")
+    crlf = b"\r\n".join(lines[:3]) + b"\r\n"
+    p.write_bytes(crlf + b"\n".join(lines[3:]))
+    assert read_stream_ndjson(p) == s
+    lines[9] = b'{"t":9.25,"a":1,"b":9}'  # a bad line in a later, canonical-looking block
+    p.write_bytes(crlf + b"\n".join(lines[3:]))
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:10:"):
+        read_stream_ndjson(p)
 
 
 # --- reports -------------------------------------------------------------------
