@@ -32,7 +32,7 @@ from .exact import (
     xor_expectation_classical,
     xor_expectation_quantum,
 )
-from .extractors import pair_von_neumann, peres, von_neumann, xor_offset
+from .extractors import ExtractionOutput, pair_von_neumann, peres, von_neumann, xor_offset
 from .fileio import (
     read_bits,
     read_stream_ndjson,
@@ -47,6 +47,7 @@ from .fileio import (
 from .simulate import _check_n, _generator, demon_filter, demon_modulus, run_pipeline
 from .stats import (
     DEFAULT_ALPHA,
+    _check_alpha,
     borel_normality,
     chi2_uniformity,
     correlation_estimate,
@@ -54,6 +55,11 @@ from .stats import (
 )
 
 __all__ = ["main", "parse_angle", "parse_count"]
+
+GRID_CAP = 1 << 16  # sweep --grid points; each point costs a CSV row, or a run with --empirical
+
+# the exit status of each error type main reports; any other exception is a bug
+_EXIT_CODES = {UsageError: 2, OSError: 2, ResourceBudgetError: 3, InputFormatError: 4}
 
 
 def parse_angle(text: str) -> float:
@@ -81,6 +87,10 @@ def parse_count(text: str) -> int:
     if not math.isfinite(value) or value < 1 or value != int(value):
         raise UsageError(f"count must be a positive integer, got {text!r}")
     return int(value)
+
+
+def _parse_alpha(text: str) -> float:
+    return _check_alpha(float(text))
 
 
 def _parse_efficiencies(text: str) -> dict:
@@ -121,10 +131,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, params: dict, results: dict, outputs: list) -> None:
+def _write_manifest(args, params: dict, results: dict, outputs: list) -> None:
     write_json(
-        out / "manifest.json",
-        {"command": command, "params": params, "results": results, "outputs": sorted(outputs)},
+        Path(args.out_dir) / "manifest.json",
+        {"command": args.command, "params": params, "results": results, "outputs": sorted(outputs)},
     )
 
 
@@ -133,14 +143,13 @@ def _write_manifest(out: Path, command: str, params: dict, results: dict, output
 
 def cmd_exact(args) -> int:
     cfg = _build_config(args)
-    out = _out_dir(args)
     dist = xor_distribution_transfer(args.n, args.j, cfg, max_bits=args.max_bits)
     tv = tv_distance(dist, ExactDistribution.uniform(args.n))
+    out = _out_dir(args)
     write_distribution_csv(out / "distribution.csv", dist)
     write_deviation_csv(out / "deviation.csv", dist)
     _write_manifest(
-        out,
-        "exact",
+        args,
         {"n": args.n, "j": args.j, "max_bits": args.max_bits, "config": cfg.to_dict()},
         {"tv_to_uniform": tv, "l1_to_uniform": 2.0 * tv},
         ["distribution.csv", "deviation.csv", "manifest.json"],
@@ -161,12 +170,11 @@ def cmd_simulate(args) -> int:
             "demon_rho": args.demon,
         },
     )
-    out = _out_dir(args)
     result = run_pipeline(args.pairs, cfg, args.seed, mode=args.mode)
+    out = _out_dir(args)
     write_stream_ndjson(out / "stream.ndjson", result.records)
     _write_manifest(
-        out,
-        "simulate",
+        args,
         {"pairs": args.pairs, "seed": args.seed, "mode": args.mode, "config": cfg.to_dict()},
         result.counters(),
         ["stream.ndjson", "manifest.json"],
@@ -176,63 +184,66 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _extract_inputs(args):
-    """Resolve (x, y, z) from the given source flags; unused slots are None."""
+# extract's input flags by argparse dest, in the order the manifest lists them
+_EXTRACT_SOURCES = {"stream": "--stream", "in_x": "--in-x", "in_y": "--in-y", "infile": "--in"}
+
+
+def _extract_source(args):
+    """The dests of extract's one input source, and the strings the method reads from it.
+
+    The source is either --stream or exactly the files the method reads: --in
+    for vn and peres, --in-x with --in-y for xor and pair-vn. The strings are
+    (x, y) for xor and pair-vn, and (z,) for vn and peres, z being the
+    offset-0 XOR when the source is a stream.
+    """
     two_sided = args.method in ("xor", "pair-vn")
-    if args.stream:
+    files = ("in_x", "in_y") if two_sided else ("infile",)
+    given = tuple(dest for dest in _EXTRACT_SOURCES if getattr(args, dest) is not None)
+    if given not in (("stream",), files):
+        wanted = " and ".join(_EXTRACT_SOURCES[dest] for dest in files)
+        got = " and ".join(_EXTRACT_SOURCES[dest] for dest in given) or "no input"
+        raise UsageError(f"method {args.method} reads --stream or {wanted}, got {got}")
+    if given == ("stream",):
         stream = read_stream_ndjson(args.stream)
         x, y = stream.plus_string(), stream.times_string()
-        return (x, y, None) if two_sided else (None, None, xor_offset(x, y, 0))
-    if two_sided:
-        if not (args.in_x and args.in_y):
-            raise UsageError(f"method {args.method} needs --stream or both --in-x and --in-y")
-        return read_bits(args.in_x), read_bits(args.in_y), None
-    if not args.infile:
-        raise UsageError(f"method {args.method} needs --in or --stream")
-    return None, None, read_bits(args.infile)
+        return given, (x, y) if two_sided else (xor_offset(x, y, 0),)
+    return given, tuple(read_bits(getattr(args, dest)) for dest in files)
 
 
 def cmd_extract(args) -> int:
-    out = _out_dir(args)
-    x, y, z = _extract_inputs(args)
-    params: dict = {}
+    given, strings = _extract_source(args)
+    params = {"xor": {"j": args.j}, "peres": {"depth": args.depth}}.get(args.method, {})
     if args.method == "xor":
-        params["j"] = args.j
-        bits = xor_offset(x, y, args.j)
-        consumed, discarded = len(x), args.j
+        x, y = strings
+        result = ExtractionOutput(xor_offset(x, y, args.j), len(x), args.j)
     elif args.method == "vn":
-        result = von_neumann(z)
-        bits, consumed, discarded = result.bits, result.consumed, result.discarded
+        result = von_neumann(*strings)
     elif args.method == "peres":
-        params["depth"] = args.depth
-        result = peres(z, args.depth)
-        bits, consumed, discarded = result.bits, result.consumed, result.discarded
+        result = peres(*strings, args.depth)
     else:
-        result = pair_von_neumann(x, y)
-        bits, consumed, discarded = result.bits, result.consumed, result.discarded
+        result = pair_von_neumann(*strings)
+    bits = result.bits
+    out = _out_dir(args)
     write_bits(out / "extracted.bits", bits, mode=args.format)
-    summary = {"in": consumed, "out": len(bits), "discarded": discarded,
+    summary = {"in": result.consumed, "out": len(bits), "discarded": result.discarded,
                "method": args.method, "params": params}
     _write_manifest(
-        out,
-        "extract",
+        args,
         {"method": args.method, "format": args.format,
-         "inputs": [s for s in (args.stream, args.in_x, args.in_y, args.infile) if s],
-         **params},
+         "inputs": [getattr(args, dest) for dest in given], **params},
         summary,
         ["extracted.bits", "manifest.json"],
     )
-    print(f"{args.method}: {consumed} positions in, {len(bits)} bits out")
+    print(f"{args.method}: {result.consumed} positions in, {len(bits)} bits out")
     return 0
 
 
 def _chi2_blocks(args, n_bits: int) -> list[int]:
     if args.k:
         try:
-            ks = sorted({int(p) for p in args.k.split(",")})
+            return sorted({int(p) for p in args.k.split(",")})
         except ValueError:
             raise UsageError(f"cannot parse block list {args.k!r}") from None
-        return ks
     return [k for k in range(1, 6) if n_bits >= 100 * (1 << k)]
 
 
@@ -241,30 +252,27 @@ def cmd_analyze(args) -> int:
     unknown = set(tests) - {"chi2", "borel"}
     if unknown:
         raise UsageError(f"unknown tests: {', '.join(sorted(unknown))}")
-    out = _out_dir(args)
     results: dict = {}
-    if args.stream:
+    if args.stream is not None:
         stream = read_stream_ndjson(args.stream)
         x, y = stream.plus_string(), stream.times_string()
         bits = xor_offset(x, y, 0)
         results["correlation"] = correlation_estimate(x, y)
         if len(x) >= 10_000:
             results["theta"] = estimate_theta(x, y).to_dict()
-    elif args.infile:
-        bits = read_bits(args.infile)
     else:
-        raise UsageError("analyze needs --in or --stream")
+        bits = read_bits(args.infile)
     reports = []
     if "chi2" in tests:
         for k in _chi2_blocks(args, len(bits)):
             reports.append(chi2_uniformity(bits, k, alpha=args.alpha))
     if "borel" in tests:
         reports.extend(borel_normality(bits))
+    out = _out_dir(args)
     write_json(out / "reports.json", [r.to_dict() for r in reports])
     write_reports_csv(out / "reports.csv", reports)
     _write_manifest(
-        out,
-        "analyze",
+        args,
         {"in": args.infile, "stream": args.stream, "tests": args.tests,
          "k": args.k, "alpha": args.alpha, "bits": len(bits)},
         results,
@@ -278,20 +286,23 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_grid(args) -> list[float]:
-    if args.thetas:
+    if args.thetas is not None:
         return [parse_angle(p) for p in args.thetas.split(",")]
-    m = re.fullmatch(r"([^:]+):([^:]+):(\d+)", args.grid or "")
+    m = re.fullmatch(r"([^:]+):([^:]+):(\d+)", args.grid)
     if not m:
-        raise UsageError("sweep needs --thetas or --grid start:stop:count")
+        raise UsageError(f"--grid takes start:stop:count, got {args.grid!r}")
     start, stop = parse_angle(m.group(1)), parse_angle(m.group(2))
-    count = int(m.group(3))
+    digits = m.group(3).lstrip("0") or "0"
+    # a count with more digits than the cap is over it; int() refuses past 4300 digits
+    if len(digits) > len(str(GRID_CAP)) or int(digits) > GRID_CAP:
+        raise ResourceBudgetError(f"a grid holds at most {GRID_CAP} points")
+    count = int(digits)
     if count < 2:
         raise UsageError("grid needs at least two points")
     return list(np.linspace(start, stop, count))
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
     thetas = _parse_grid(args)
     cfg = _build_config(args)
     rows = []
@@ -303,10 +314,10 @@ def cmd_sweep(args) -> int:
             z = stream.a ^ stream.b
             row.append(1.0 - float(z.mean()))
         rows.append(row)
+    out = _out_dir(args)
     write_sweep_csv(out / "sweep.csv", rows, with_empirical=bool(args.empirical))
     _write_manifest(
-        out,
-        "sweep",
+        args,
         {"thetas": thetas, "empirical": args.empirical, "seed": args.seed,
          "config": cfg.to_dict()},
         {"points": len(rows)},
@@ -319,7 +330,6 @@ def cmd_sweep(args) -> int:
 def cmd_demon_demo(args) -> int:
     _check_n(args.n)
     rng = _generator(args.seed, 0)  # Philox key [seed, 0] draws as the bare key seed
-    out = _out_dir(args)
     source = BitString.from_array((rng.random(args.n) < 0.5).astype(np.uint8))
     sieved = demon_filter(source, args.rho)
     k = demon_modulus(args.rho)
@@ -331,11 +341,11 @@ def cmd_demon_demo(args) -> int:
         "rejected_fraction": 1.0 - len(sieved) / len(source),
         "forced_slots_all_zero": bool(forced.size == 0 or not forced.any()),
     }
+    out = _out_dir(args)
     write_bits(out / "source.bits", source)
     write_bits(out / "sieved.bits", sieved)
     _write_manifest(
-        out,
-        "demon-demo",
+        args,
         {"rho": args.rho, "n": args.n, "seed": args.seed},
         results,
         ["source.bits", "sieved.bits", "manifest.json"],
@@ -363,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"budget on n+j, the input string length (default {ENUMERATION_CAP})")
     p.add_argument("--tv", action="store_true", help="print the distance to uniform")
     _add_config_flags(p)
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("simulate", help="generate a pair stream")
@@ -376,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demon", type=float, default=None, metavar="RHO",
                    help="apply the fair-sampling demon with budget RHO")
     _add_config_flags(p)
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("extract", help="post-process bit files or a stream")
@@ -389,35 +397,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=4, help="recursion depth for method peres")
     p.add_argument("--format", choices=("ascii", "packed"), default="ascii",
                    help="output bit-file mode")
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("analyze", help="run statistical tests over bits")
-    p.add_argument("--in", dest="infile", help="input bit file")
-    p.add_argument("--stream", help="NDJSON stream; tests run on its offset-0 XOR bits")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--in", dest="infile", help="input bit file")
+    g.add_argument("--stream", help="NDJSON stream; tests run on its offset-0 XOR bits")
     p.add_argument("--tests", default="chi2,borel", help="comma list from: chi2, borel")
     p.add_argument("--k", default=None, help="comma list of block lengths for chi2")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
-    p.add_argument("--out-dir", default=".", help="output directory")
+    p.add_argument("--alpha", type=_parse_alpha, default=DEFAULT_ALPHA,
+                   help="significance level, strictly between 0 and 1")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="tabulate expectation curves over angles")
-    p.add_argument("--thetas", help="comma list of angles")
-    p.add_argument("--grid", help="angle grid start:stop:count")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--thetas", help="comma list of angles")
+    g.add_argument("--grid", help=f"angle grid start:stop:count, at most {GRID_CAP} points")
     p.add_argument("--empirical", type=parse_count, default=None, metavar="PAIRS",
                    help="add a simulated column with this many pairs per angle")
     p.add_argument("--seed", type=int, default=0)
     _add_config_flags(p)
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("demon-demo", help="show the fair-sampling demon on coin flips")
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--n", type=parse_count, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=cmd_demon_demo)
 
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", default=".", help="output directory")
     return parser
 
 
@@ -425,18 +434,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

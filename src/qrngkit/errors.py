@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes, so library code should raise
 the most specific one that applies rather than bare ValueError.
 """
 
+__all__ = ["UsageError", "ResourceBudgetError", "InputFormatError"]
+
 
 class UsageError(ValueError):
     """Caller passed arguments that violate an operation's contract."""

@@ -76,7 +76,8 @@ _CHUNK = 1 << 14  # rows per tolist() in _scalars
 def _generator(seed: int, stage: int) -> np.random.Generator:
     if not 0 <= seed < 1 << 64:
         raise UsageError(f"seed must lie in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=[seed, stage]))
+    # a list key would pass through float64 above 2**63, where distinct seeds round together
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stage], dtype=np.uint64)))
 
 
 def _arrival_times(n: int, cfg: QrngConfig, rng: np.random.Generator) -> np.ndarray:

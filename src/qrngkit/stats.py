@@ -32,6 +32,13 @@ __all__ = [
 DEFAULT_ALPHA = 0.01
 
 
+def _check_alpha(alpha: float) -> float:
+    """The significance level itself, if it lies strictly between 0 and 1 (NaN does not)."""
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class TestReport:
     __test__ = False  # not a pytest class, despite the name
@@ -87,10 +94,12 @@ def chi2_uniformity(bits: BitString, k: int, alpha: float = DEFAULT_ALPHA) -> Te
     2^k cells, 2^k - 1 degrees of freedom; the p-value comes from the
     regularized upper incomplete gamma function, good to ~1e-15 absolute, so
     extreme misfits report genuinely tiny p-values instead of a clipped zero.
-    Requires at least 100 blocks worth of bits per cell count (100 * 2^k).
+    Requires at least 100 blocks worth of bits per cell count (100 * 2^k),
+    and a significance level alpha strictly between 0 and 1.
     """
     if not 1 <= k <= 8:
         raise UsageError("block length k must lie in 1..8")
+    _check_alpha(alpha)
     if len(bits) < 100 * (1 << k):
         raise UsageError(
             f"need at least {100 * (1 << k)} bits for k={k}, got {len(bits)}"

@@ -23,7 +23,7 @@ from qrngkit import (
     write_stream_ndjson,
     xor_distribution,
 )
-from qrngkit.cli import main, parse_angle, parse_count
+from qrngkit.cli import GRID_CAP, main, parse_angle, parse_count
 
 
 def run_cli(*argv):
@@ -478,8 +478,20 @@ def test_config_file_errors(tmp_path):
                    "--out-dir", tmp_path) == 4
 
 
+# Each command reads exactly one input source; a second one, or the wrong one
+# for the method, is a usage error that names the flags given.
+CONFLICTING_SOURCES = [
+    "extract --method vn --in {bits} --stream {stream}",
+    "extract --method xor --stream {stream} --in-x {bits} --in-y {bits}",
+    "extract --method xor --in-x {bits}",
+    "extract --method peres --in-x {bits} --in-y {bits}",
+    "analyze --in {bits} --stream {stream}",
+    "sweep --thetas 0.1 --grid 0:1:3",
+]
+
 # Hostile argv and the documented exit code of each: 0 success, 2 usage, 3
-# budget, 4 malformed file. {bits} is an 8-bit input file, {cfgN} bad config file N.
+# budget, 4 malformed file. {bits} is an 8-bit input file, {stream} an 8-record
+# pair stream, {cfgN} bad config file N. A refused command writes nothing.
 HOSTILE_ARGV = [
     ("extract --method peres --depth 5000 --in {bits}", 0),
     ("extract --method peres --depth 0 --in {bits}", 2),
@@ -488,28 +500,52 @@ HOSTILE_ARGV = [
     ("simulate --pairs 10 --dead-time nan", 2),
     ("simulate --pairs 1e13", 3),
     ("sweep --grid 0:pi/2:3 --empirical 1e13", 3),
+    ("sweep --grid 0:1:%d" % (GRID_CAP + 1), 3),
+    # past int()'s 4300-digit limit; a short id keeps the test name readable
+    pytest.param("sweep --grid 0:1:" + "9" * 5000, 3, id="sweep-grid-5000-digit-count-3"),
+    *[("analyze --stream {stream} --alpha %s" % alpha, 2) for alpha in ("nan", "0", "1", "7")],
+    *[(argv, 2) for argv in CONFLICTING_SOURCES],
     ("demon-demo --seed -1", 2),
     ("demon-demo --n 1e13", 3),
     *[("exact --n 2 --config {cfg%d}" % i, 4) for i in range(len(BAD_CONFIG_TEXTS))],
 ]
 
 
-@pytest.mark.parametrize("argv,code", HOSTILE_ARGV)
-def test_hostile_argv_ends_in_its_exit_code(tmp_path, capsys, argv, code):
-    write_bits(tmp_path / "in.bits", BitString("00011011"))
-    files = {"bits": tmp_path / "in.bits"}
+def _hostile_files(tmp_path):
+    bits = BitString("00011011")
+    files = {"bits": tmp_path / "in.bits", "stream": tmp_path / "in.ndjson"}
+    write_bits(files["bits"], bits)
+    write_stream_ndjson(files["stream"], PairStream(np.arange(8.0), bits.to_array(), bits.to_array()))
     for i, text in enumerate(BAD_CONFIG_TEXTS):
         files[f"cfg{i}"] = tmp_path / f"bad{i}.json"
         files[f"cfg{i}"].write_bytes(text)
-    assert run_cli(*[part.format(**files) for part in argv.split()], "--out-dir", tmp_path) == code
+    return files
+
+
+@pytest.mark.parametrize("argv,code", HOSTILE_ARGV)
+def test_hostile_argv_ends_in_its_exit_code(tmp_path, capsys, argv, code):
+    files = _hostile_files(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(*[part.format(**files) for part in argv.split()], "--out-dir", out) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert (code == 0) == (err == "")
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv", CONFLICTING_SOURCES)
+def test_conflicting_sources_are_named(tmp_path, capsys, argv):
+    files = _hostile_files(tmp_path)
+    assert run_cli(*[part.format(**files) for part in argv.split()], "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    for flag in ("--in", "--in-x", "--stream", "--thetas", "--grid"):
+        if flag in argv.split():
+            assert flag in err, err
 
 
 # Every documented flag of every subcommand, each with valid values and bad
 # ones. Budget flags stay small, so no case draws much or runs long; the
-# budget refusals themselves (1e13 pairs) are cheap.
+# budget refusals themselves (1e13 pairs, a grid past GRID_CAP) are cheap.
 _FILES = ["bits", "bad_bits", "stream", "bad_stream", "config", "bad_config", "missing", "dir"]
 
 
@@ -546,7 +582,8 @@ _FLAGS = {
                 "--tests": st.sampled_from(["chi2", "borel", "chi2,borel", "x", ""]),
                 "--k": st.sampled_from(["1", "1,2", "0", "-1", "30", "x", ""]), "--alpha": _FLOAT},
     "sweep": {"--thetas": st.sampled_from(["0.1", "pi/5,pi/4", "0,1.5", "nan", "1,,2", ""]),
-              "--grid": st.sampled_from(["0:pi/2:3", "1:0:2", "0:1:1", "a:b:2", "0:1:x"]),
+              "--grid": st.sampled_from(["0:pi/2:3", "1:0:2", "0:1:1", "a:b:2", "0:1:x",
+                                         "0:1:%d" % (GRID_CAP + 1)]),
               "--empirical": st.sampled_from(["1", "500", "1e13", "0", "x"]), "--seed": _SEED,
               **_CONFIG_FLAGS},
     "demon-demo": {"--rho": _FLOAT, "--n": _COUNT, "--seed": _SEED},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qrngkit import (
     sample_pairs,
     sample_pairs_physical,
 )
-from qrngkit.simulate import _demon_kept_indices
+from qrngkit.simulate import _demon_kept_indices, _generator
 
 
 def cells(stream):
@@ -395,6 +396,22 @@ def test_double_counting_key_is_not_the_next_seeds_sampling_key(skewed_cfg):
     for bad in (-1, 1 << 64):
         with pytest.raises(UsageError):
             sample_pairs(10, cfg, bad)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1])
+def test_every_seed_keys_its_generator_exactly(seed):
+    # a list key goes through float64 above 2**63, where 2**64 - 1 became the
+    # key of seed 0 and 2**63 + 1 that of 2**63 (draw version 3 keys uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stage in (0, 1):
+            key = _generator(seed, stage).bit_generator.state["state"]["key"]
+            assert [int(k) for k in key] == [seed, stage]
+
+
+def test_seeds_past_two_to_the_63_draw_apart():
+    draws = {seed: tuple(_generator(seed, 0).random(4)) for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)}
+    assert len(set(draws.values())) == len(draws)
 
 
 def test_pipeline_rejects_unknown_mode(skewed_cfg):

@@ -40,6 +40,12 @@ def test_chi2_guards():
         chi2_uniformity(BitString("01" * 99), 1)  # below 100 blocks per cell
 
 
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 7.0, -0.01, math.inf])
+def test_chi2_refuses_a_significance_level_outside_the_open_unit_interval(alpha):
+    with pytest.raises(UsageError):
+        chi2_uniformity(BitString("01" * 200), 1, alpha=alpha)
+
+
 def test_chi2_perfectly_balanced_stream():
     r = chi2_uniformity(BitString("01" * 200), 1)
     assert r.statistic == 0.0
