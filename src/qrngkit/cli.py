@@ -305,6 +305,10 @@ def _parse_grid(args) -> list[float]:
 def cmd_sweep(args) -> int:
     thetas = _parse_grid(args)
     cfg = _build_config(args)
+    # point i draws with seed + i, so the last point's seed must be valid before the first draws
+    if args.empirical and not 0 <= args.seed <= 2**64 - len(thetas):
+        raise UsageError(f"--seed must lie in [0, 2**64 - {len(thetas)}] "
+                         f"for {len(thetas)} points, got {args.seed}")
     rows = []
     for i, theta in enumerate(thetas):
         row = [theta, xor_expectation_quantum(theta), xor_expectation_classical(theta)]

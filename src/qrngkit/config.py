@@ -87,17 +87,23 @@ class QrngConfig:
     def efficiencies(self) -> tuple[float, float, float, float]:
         return (self.e0_plus, self.e1_plus, self.e0_times, self.e1_times)
 
+    def efficiency_columns(self, t) -> tuple:
+        """The four efficiencies at time(s) ``t``: the plain floats of `efficiencies`
+        without drift, else one array shaped like ``t`` per detector."""
+        if self.drift is None:
+            return self.efficiencies
+        angle = 2.0 * math.pi * np.asarray(t, dtype=np.float64) / self.drift.period
+        # one sin per distinct phase (by default all four are 0)
+        sines = {p: np.sin(angle + p) for p in set(self.drift.phases)}
+        return tuple(
+            e + a * sines[p]
+            for e, a, p in zip(self.efficiencies, self.drift.amplitudes, self.drift.phases)
+        )
+
     def efficiencies_at(self, t) -> np.ndarray:
         """Efficiencies evaluated at time(s) ``t``; shape (len(t), 4) for array input."""
-        base = np.asarray(self.efficiencies, dtype=np.float64)
-        if self.drift is None:
-            t = np.asarray(t, dtype=np.float64)
-            return np.broadcast_to(base, t.shape + (4,)).copy()
-        t = np.asarray(t, dtype=np.float64)[..., None]
-        amp = np.asarray(self.drift.amplitudes)
-        # one sin per distinct phase (by default all four are 0)
-        phases, column = np.unique(self.drift.phases, return_inverse=True)
-        return base + amp * np.sin(2.0 * math.pi * t / self.drift.period + phases)[..., column]
+        shape = np.shape(t)
+        return np.stack([np.broadcast_to(c, shape) for c in self.efficiency_columns(t)], axis=-1)
 
     # --- serialization ------------------------------------------------------
 

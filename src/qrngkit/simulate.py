@@ -69,8 +69,8 @@ class SimulationResult:
 
 
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
-PAIR_CAP = 2**25  # a run peaks at 105-135 B per pair, so at most about 4.5 GB
-_CHUNK = 1 << 14  # rows per tolist() in _scalars
+PAIR_CAP = 2**25  # a run peaks at 30-70 B per pair, so at most about 2.4 GB
+_CHUNK = 1 << 14  # rows per step of the sampler and per tolist() in _scalars
 
 
 def _generator(seed: int, stage: int) -> np.random.Generator:
@@ -108,15 +108,24 @@ def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     _check_n(n)
     rng = _generator(seed, _SAMPLING)
     times = _arrival_times(n, cfg, rng)
-    e0p, e1p, e0t, e1t = cfg.efficiencies_at(times).T
+    u = rng.random(n)
     s = math.sin(cfg.theta) ** 2
     c = math.cos(cfg.theta) ** 2
-    weights = np.stack([c * e0p * e0t, s * e0p * e1t, s * e1p * e0t, c * e1p * e1t], axis=1)
-    cum = np.cumsum(weights, axis=1, out=weights)  # in place: no second (n, 4) array
-    u = rng.random(n) * cum[:, -1]
-    cell = np.minimum((u[:, None] >= cum).sum(axis=1), 3)
-    a = (cell >> 1).astype(np.uint8)
-    b = (cell & 1).astype(np.uint8)
+    cell = np.empty(n, dtype=np.uint8)
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        e0p, e1p, e0t, e1t = cfg.efficiency_columns(times[rows])
+        # the running sums of the four cell weights, added in cumsum's order
+        c0 = c * e0p * e0t
+        c1 = c0 + s * e0p * e1t
+        c2 = c1 + s * e1p * e0t
+        x = u[rows] * (c2 + c * e1p * e1t)
+        # the sums never fall, so x >= c3 holds only where the cell is already the top one, 3
+        np.greater_equal(x, c0, out=cell[rows])
+        cell[rows] += x >= c1
+        cell[rows] += x >= c2
+    a = cell >> 1
+    b = cell & 1
     return SimulationResult(PairStream(times, a, b), n, 0, 0, 0, seed)
 
 
@@ -135,7 +144,7 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     s = math.sin(cfg.theta) ** 2
     a = (rng.random(n) < 0.5).astype(np.uint8)
     b = a ^ (rng.random(n) < s).astype(np.uint8)
-    e0p, e1p, e0t, e1t = cfg.efficiencies_at(times).T
+    e0p, e1p, e0t, e1t = cfg.efficiency_columns(times)
     eff_plus = np.where(a == 0, e0p, e1p)
     eff_times = np.where(b == 0, e0t, e1t)
     detected = (rng.random(n) < eff_plus) & (rng.random(n) < eff_times)
@@ -211,15 +220,27 @@ def demon_modulus(rho: float) -> int:
 def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
     """Input indices surviving the forced-zero rule of budget rho."""
     k = demon_modulus(rho)
-    # Zeros always pass. The one at input index o lands on output slot
-    # 1 + o - D, D the ones dropped before it, and is dropped iff k divides it.
-    keep = np.ones(len(bits), dtype=bool)
-    dropped = 0
-    for (o,) in _scalars(np.flatnonzero(bits)):
-        if (1 + o - dropped) % k == 0:
-            keep[o] = False
-            dropped += 1
-    return np.flatnonzero(keep)
+    # Zeros always pass. q counts the inputs still to land before the next
+    # forced slot; each passing bit counts it down mod k. Once a run of ones
+    # meets q = 0, the rest of the run drops on that slot and the zero that
+    # ends the run fills it, so the loop steps over whole runs of ones.
+    edges = np.flatnonzero(np.diff(bits.astype(bool), prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    q, run, cut_runs, cut_offsets = k - 1, 0, [], []
+    for zeros, ones in _scalars(starts - np.append(0, ends[:-1]), ends - starts):
+        q = (q - zeros) % k
+        if ones > q:
+            cut_runs.append(run)
+            cut_offsets.append(q)
+            q = 0
+        else:
+            q -= ones
+        run += 1
+    # the dropped stretches are disjoint, so a running sum of +1/-1 at their ends marks them
+    marks = np.zeros(len(bits) + 1, dtype=np.int8)
+    marks[starts[cut_runs] + np.array(cut_offsets, dtype=np.intp)] = 1
+    marks[ends[cut_runs]] = -1
+    return np.flatnonzero(np.cumsum(marks[:-1], dtype=np.int8) == 0)
 
 
 def demon_filter(bits: BitString, rho: float) -> BitString:

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from qrngkit import InputFormatError, PairStream, QrngConfig, demon_modulus
+from qrngkit.simulate import _SAMPLING, _arrival_times, _generator
 
 
 def random_configs(count, seed):
@@ -61,6 +62,46 @@ def demon_kept_loop(bits, rho) -> np.ndarray:
         kept.append(i)
         out_pos += 1
     return np.asarray(kept, dtype=np.intp)
+
+
+def efficiencies_stacked(cfg, t) -> np.ndarray:
+    """The (len(t), 4) efficiencies with one sin per distinct phase, the oracle for
+    QrngConfig.efficiency_columns."""
+    base = np.asarray(cfg.efficiencies, dtype=np.float64)
+    if cfg.drift is None:
+        return np.broadcast_to(base, t.shape + (4,))
+    amp = np.asarray(cfg.drift.amplitudes)
+    phases, column = np.unique(cfg.drift.phases, return_inverse=True)
+    return base + amp * np.sin(2.0 * math.pi * t[:, None] / cfg.drift.period + phases)[:, column]
+
+
+def sample_pairs_stacked(n, cfg, seed) -> PairStream:
+    """Ideal-mode pairs from stacked (n, 4) cell weights and their cumsum, the oracle
+    for sample_pairs."""
+    rng = _generator(seed, _SAMPLING)
+    times = _arrival_times(n, cfg, rng)
+    e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T
+    s = math.sin(cfg.theta) ** 2
+    c = math.cos(cfg.theta) ** 2
+    weights = np.stack([c * e0p * e0t, s * e0p * e1t, s * e1p * e0t, c * e1p * e1t], axis=1)
+    cum = np.cumsum(weights, axis=1)
+    u = rng.random(n) * cum[:, -1]
+    cell = np.minimum((u[:, None] >= cum).sum(axis=1), 3)
+    return PairStream(times, cell >> 1, cell & 1)
+
+
+def sample_pairs_physical_stacked(n, cfg, seed) -> PairStream:
+    """Detected physical-mode pairs from the (n, 4) efficiencies, the oracle for
+    sample_pairs_physical."""
+    rng = _generator(seed, _SAMPLING)
+    times = _arrival_times(n, cfg, rng)
+    a = (rng.random(n) < 0.5).astype(np.uint8)
+    b = a ^ (rng.random(n) < math.sin(cfg.theta) ** 2).astype(np.uint8)
+    e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T
+    detected = (rng.random(n) < np.where(a == 0, e0p, e1p)) & (
+        rng.random(n) < np.where(b == 0, e0t, e1t)
+    )
+    return PairStream(times[detected], a[detected], b[detected])
 
 
 def read_stream_per_line(path) -> PairStream:

@@ -414,6 +414,19 @@ def test_sweep_grid_with_empirical_column(tmp_path):
     assert read_manifest(tmp_path)["results"]["points"] == 5
 
 
+def test_sweep_checks_the_last_point_seed_before_any_draw(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a point was drawn before the seed range was checked")
+
+    monkeypatch.setattr("qrngkit.cli.run_pipeline", must_not_run)
+    # point 8 would draw with seed 2**64, one past the last valid seed
+    assert run_cli("sweep", "--grid", "0:pi/2:9", "--empirical", 1000, "--seed", 2**64 - 8,
+                   "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "9 points" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_needs_a_grid(tmp_path):
     assert run_cli("sweep", "--out-dir", tmp_path) == 2
     assert run_cli("sweep", "--grid", "0:pi:1", "--out-dir", tmp_path) == 2
@@ -500,6 +513,7 @@ HOSTILE_ARGV = [
     ("simulate --pairs 10 --dead-time nan", 2),
     ("simulate --pairs 1e13", 3),
     ("sweep --grid 0:pi/2:3 --empirical 1e13", 3),
+    ("sweep --grid 0:pi/2:9 --empirical 1000 --seed %d" % (2**64 - 8), 2),
     ("sweep --grid 0:1:%d" % (GRID_CAP + 1), 3),
     # past int()'s 4300-digit limit; a short id keeps the test name readable
     pytest.param("sweep --grid 0:1:" + "9" * 5000, 3, id="sweep-grid-5000-digit-count-3"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chi2_against, dead_time_keep_loop, demon_kept_loop
+from helpers import (
+    chi2_against,
+    coin_flips,
+    dead_time_keep_loop,
+    demon_kept_loop,
+    sample_pairs_physical_stacked,
+    sample_pairs_stacked,
+)
 from qrngkit import (
     BitString,
     DriftSpec,
@@ -24,7 +32,7 @@ from qrngkit import (
     sample_pairs,
     sample_pairs_physical,
 )
-from qrngkit.simulate import _demon_kept_indices, _generator
+from qrngkit.simulate import _CHUNK, _demon_kept_indices, _generator
 
 
 def cells(stream):
@@ -121,6 +129,48 @@ def test_drift_shows_up_as_oscillating_bias():
     drive = np.sin(2 * math.pi * mid / period)
     corr = np.corrcoef(zeros - zeros.mean(), drive)[0, 1]
     assert corr > 0.5
+
+
+@st.composite
+def sampler_configs(draw):
+    """Any angle (the edges included), efficiencies, and no drift or drift with
+    equal or distinct phases."""
+    theta = draw(st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)))
+    eff = [draw(st.floats(0.05, 1.0)) for _ in range(4)]
+    phases = draw(st.one_of(
+        st.none(),
+        st.floats(0.0, 7.0).map(lambda p: (p,) * 4),
+        st.tuples(*[st.sampled_from([0.0, 0.5, 2.5])] * 4),
+    ))
+    drift = None
+    if phases is not None:
+        amps = tuple(draw(st.floats(0.0, 0.99)) * min(e, 1.0 - e) for e in eff)
+        drift = DriftSpec(amps, draw(st.floats(1.0, 1e5)), phases)
+    return QrngConfig(theta, *eff, drift=drift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampler_configs(), st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]),
+       st.integers(0, 2**64 - 1))
+def test_samplers_equal_the_stacked_oracles(cfg, n, seed):
+    assert sample_pairs(n, cfg, seed).records == sample_pairs_stacked(n, cfg, seed)
+    assert sample_pairs_physical(n, cfg, seed).records == sample_pairs_physical_stacked(n, cfg, seed)
+
+
+@pytest.mark.parametrize("drift", [None, DriftSpec((0.02,) * 4, 1000.0)])
+def test_sampler_holds_no_per_pair_table(skewed_cfg, drift):
+    cfg = QrngConfig(skewed_cfg.theta, *skewed_cfg.efficiencies, drift=drift)
+    if drift is None:
+        assert all(type(e) is float for e in cfg.efficiency_columns(np.arange(3.0)))
+    n = 2**18
+    tracemalloc.start()
+    try:
+        sample_pairs(n, cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result's t, a and b take 10 B per pair; an (n, 4) float64 table alone takes 32
+    assert peak / n < 48
 
 
 # --- physical sampling ------------------------------------------------------------
@@ -319,6 +369,29 @@ def test_demon_matches_the_per_bit_loop(rho):
     bits = (rng.random(50_000) < 0.5).astype(np.uint8)
     expected = BitString.from_array(bits[demon_kept_loop(bits, rho)])
     assert demon_filter(BitString.from_array(bits), rho) == expected
+
+
+@pytest.mark.parametrize("p", [0.9, 0.99, 1.0])
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.95])
+def test_demon_matches_the_per_bit_loop_over_long_runs(p, rho):
+    bits = coin_flips(42, 200_000, p)  # runs of ones well past k
+    assert np.array_equal(_demon_kept_indices(bits, rho), demon_kept_loop(bits, rho))
+
+
+@pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 5000])
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.999, 1.0])
+def test_demon_matches_the_per_bit_loop_around_a_wide_slot(n, p):
+    # rho = 0.999 forces every 1000th slot, so the shorter inputs never reach one
+    assert demon_modulus(0.999) == 1000
+    bits = coin_flips(43, n, p)
+    assert np.array_equal(_demon_kept_indices(bits, 0.999), demon_kept_loop(bits, 0.999))
+
+
+def test_demon_input_may_end_inside_a_dropped_run():
+    bits = np.r_[np.zeros(5), np.ones(50)].astype(np.uint8)
+    kept = _demon_kept_indices(bits, 0.7)  # k = 4: the one at input 7 meets slot 8
+    assert np.array_equal(kept, demon_kept_loop(bits, 0.7))
+    assert np.array_equal(kept, np.arange(7))
 
 
 @settings(max_examples=300, deadline=None)
