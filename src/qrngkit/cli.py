@@ -107,21 +107,17 @@ def _parse_efficiencies(text: str) -> dict:
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="JSON file of generator settings; flags override it")
     p.add_argument("--theta", metavar="ANGLE", help="context misalignment, e.g. 0.635 or pi/5")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--e", metavar="Q", help="efficiency quadruple e0+,e1+,e0x,e1x")
-    g.add_argument("--equal-e", action="store_true", help="set all four efficiencies to 1")
+    p.add_argument("--e", metavar="Q", help="efficiency quadruple e0+,e1+,e0x,e1x")
 
 
 def _build_config(args, extra: dict | None = None) -> QrngConfig:
     """The --config file (or the defaults) with the given flags applied over it."""
-    cfg = QrngConfig.from_json(args.config) if getattr(args, "config", None) else QrngConfig()
+    cfg = QrngConfig.from_json(args.config) if args.config else QrngConfig()
     overrides = {key: value for key, value in (extra or {}).items() if value is not None}
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         overrides["theta"] = parse_angle(args.theta)
-    if getattr(args, "e", None) is not None:
+    if args.e is not None:
         overrides.update(_parse_efficiencies(args.e))
-    if getattr(args, "equal_e", False):
-        overrides.update(dict.fromkeys(DETECTOR_NAMES, 1.0))
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -319,7 +315,7 @@ def cmd_sweep(args) -> int:
             row.append(1.0 - float(z.mean()))
         rows.append(row)
     out = _out_dir(args)
-    write_sweep_csv(out / "sweep.csv", rows, with_empirical=bool(args.empirical))
+    write_sweep_csv(out / "sweep.csv", rows)
     _write_manifest(
         args,
         {"thetas": thetas, "empirical": args.empirical, "seed": args.seed,

@@ -76,8 +76,8 @@ class QrngConfig:
                     raise UsageError(f"drift amplitude {a} on {name} exceeds unit efficiency")
         if not self.dead_time_Td >= 0:  # NaN included
             raise UsageError("dead_time_Td must be >= 0")
-        if not self.mean_pair_interval > 0:
-            raise UsageError("mean_pair_interval must be positive")
+        if not 0 < self.mean_pair_interval < math.inf:
+            raise UsageError("mean_pair_interval must be positive and finite")
         if not 0.0 <= self.double_count_prob <= 1.0:
             raise UsageError("double_count_prob must lie in [0, 1]")
         if self.demon_rho is not None and not 0.0 < self.demon_rho < 1.0:
@@ -100,22 +100,10 @@ class QrngConfig:
             for e, a, p in zip(self.efficiencies, self.drift.amplitudes, self.drift.phases)
         )
 
-    def efficiencies_at(self, t) -> np.ndarray:
-        """Efficiencies evaluated at time(s) ``t``; shape (len(t), 4) for array input."""
-        shape = np.shape(t)
-        return np.stack([np.broadcast_to(c, shape) for c in self.efficiency_columns(t)], axis=-1)
-
     # --- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.drift is not None:
-            d["drift"] = {
-                "amplitudes": list(self.drift.amplitudes),
-                "period": self.drift.period,
-                "phases": list(self.drift.phases),
-            }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "QrngConfig":

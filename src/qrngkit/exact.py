@@ -168,9 +168,6 @@ class ExactDistribution:
             raise UsageError("string lengths do not match support")
         return float(self.probs[x.value, y.value])
 
-    def __getitem__(self, idx) -> float:
-        return float(self.probs[idx])
-
     def deviation_from_uniform(self) -> np.ndarray:
         if self.is_pair:
             raise UsageError("uniform deviation is for single-string laws")

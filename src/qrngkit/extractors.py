@@ -61,11 +61,11 @@ class ExtractionOutput:
 
 
 def xor_offset(x: BitString, y: BitString, j: int = 0) -> BitString:
-    """Combine z_i = x_i XOR y_(i+j); inputs of length n + j give n bits."""
+    """Combine z_i = x_i XOR y_(i+j); inputs of length n + j give n bits (empty ones need j = 0)."""
     if len(x) != len(y):
         raise UsageError("xor_offset needs equal-length inputs")
-    if not 0 <= j < len(x):
-        raise UsageError(f"offset must satisfy 0 <= j < {len(x)}, got {j}")
+    if not 0 <= j < max(len(x), 1):
+        raise UsageError(f"offset must satisfy 0 <= j < {max(len(x), 1)}, got {j}")
     n = len(x) - j
     return BitString.from_index((x.value >> j) ^ (y.value & ((1 << n) - 1)), n)
 

@@ -307,9 +307,10 @@ def write_reports_csv(path, reports) -> Path:
     return _atomic_write_text(path, "\n".join(rows) + "\n")
 
 
-def write_sweep_csv(path, rows, with_empirical: bool) -> Path:
+def write_sweep_csv(path, rows) -> Path:
+    """Sweep table; rows of four values carry the empirical column."""
     header = "theta,expectation_quantum,expectation_classical"
-    if with_empirical:
+    if rows and len(rows[0]) == 4:
         header += ",expectation_empirical"
     lines = [header]
     for row in rows:

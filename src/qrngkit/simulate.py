@@ -69,8 +69,8 @@ class SimulationResult:
 
 
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
-PAIR_CAP = 2**25  # a run peaks at 30-70 B per pair, so at most about 2.4 GB
-_CHUNK = 1 << 14  # rows per step of the sampler and per tolist() in _scalars
+PAIR_CAP = 2**25  # a run peaks at 30-41 B per pair, so at most about 1.4 GB
+_CHUNK = 1 << 14  # rows per step of both samplers and per tolist() in _scalars
 
 
 def _generator(seed: int, stage: int) -> np.random.Generator:
@@ -81,7 +81,11 @@ def _generator(seed: int, stage: int) -> np.random.Generator:
 
 
 def _arrival_times(n: int, cfg: QrngConfig, rng: np.random.Generator) -> np.ndarray:
-    times = np.cumsum(rng.exponential(cfg.mean_pair_interval, n))
+    with np.errstate(over="ignore"):
+        times = np.cumsum(rng.exponential(cfg.mean_pair_interval, n))
+    if not math.isfinite(times[-1]):
+        raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
+                         f"{cfg.mean_pair_interval} overflow float64")
     # an extremely short gap can round away in the cumsum; nudge such times up
     bad = np.flatnonzero(np.diff(times) <= 0.0)
     while bad.size:
@@ -144,10 +148,13 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     s = math.sin(cfg.theta) ** 2
     a = (rng.random(n) < 0.5).astype(np.uint8)
     b = a ^ (rng.random(n) < s).astype(np.uint8)
-    e0p, e1p, e0t, e1t = cfg.efficiency_columns(times)
-    eff_plus = np.where(a == 0, e0p, e1p)
-    eff_times = np.where(b == 0, e0t, e1t)
-    detected = (rng.random(n) < eff_plus) & (rng.random(n) < eff_times)
+    u_plus, u_times = rng.random(n), rng.random(n)
+    detected = np.empty(n, dtype=bool)
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        e0p, e1p, e0t, e1t = cfg.efficiency_columns(times[rows])
+        np.less(u_plus[rows], np.where(a[rows] == 0, e0p, e1p), out=detected[rows])
+        detected[rows] &= u_times[rows] < np.where(b[rows] == 0, e0t, e1t)
     stream = PairStream(times[detected], a[detected], b[detected])
     return SimulationResult(stream, n, n - len(stream), 0, 0, seed)
 
@@ -275,14 +282,9 @@ def run_pipeline(
         result = sample_pairs_physical(n, cfg, seed)
     else:
         raise UsageError(f"unknown simulation mode {mode!r}")
-    stream = result.records
-    if cfg.double_count_prob > 0.0:
-        stream = apply_double_counting(stream, cfg.double_count_prob, seed)
-    dropped_dead = 0
-    if cfg.dead_time_Td > 0.0:
-        filtered = dead_time_filter(stream, cfg.dead_time_Td)
-        dropped_dead = len(stream) - len(filtered)
-        stream = filtered
+    stream = apply_double_counting(result.records, cfg.double_count_prob, seed)
+    stream = dead_time_filter(stream, cfg.dead_time_Td)
+    dropped_dead = len(result.records) - len(stream)  # double counting keeps the length
     dropped_demon = 0
     if cfg.demon_rho is not None and len(stream):
         kept = _demon_kept_indices(stream.a ^ stream.b, cfg.demon_rho)

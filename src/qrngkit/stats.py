@@ -9,7 +9,7 @@ and matches the usual definition of the normality criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,12 +73,7 @@ class ThetaEstimate:
     at_boundary: bool
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "stderr": self.stderr,
-            "sample_size": self.sample_size,
-            "at_boundary": self.at_boundary,
-        }
+        return asdict(self)
 
 
 def _block_values(bits: BitString, k: int) -> np.ndarray:
@@ -183,7 +178,7 @@ def empirical_distribution(samples, n: int) -> ExactDistribution:
     """Frequency-normalized law of equal-length samples.
 
     ``samples`` may be an iterable of BitString or a numpy integer array of
-    string values (as produced in bulk by the simulator helpers).
+    string values (each sample's `BitString.value`).
     """
     if n < 1:
         raise UsageError("support length must be positive")

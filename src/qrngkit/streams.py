@@ -2,27 +2,18 @@
 
 A PairStream holds one measurement run: for each detected pair, the arrival
 time and the two outcome bits (the "plus" context and the "times" context).
-Columns are numpy arrays so million-record streams stay cheap; element access
-yields PairRecord values.
+Columns are numpy arrays so million-record streams stay cheap.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bitstring import BitString
 from .errors import UsageError
+from .extractors import xor_offset
 
-__all__ = ["PairRecord", "PairStream"]
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    time: float
-    outcome_plus: int
-    outcome_times: int
+__all__ = ["PairStream"]
 
 
 class PairStream:
@@ -49,13 +40,6 @@ class PairStream:
     def __len__(self) -> int:
         return self.t.size
 
-    def __getitem__(self, i: int) -> PairRecord:
-        return PairRecord(float(self.t[i]), int(self.a[i]), int(self.b[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PairStream)
@@ -72,11 +56,7 @@ class PairStream:
 
     def xor_string(self, j: int = 0) -> BitString:
         """Offset-XOR of the two outcome columns: bit i is a_i XOR b_{i+j}."""
-        if j < 0 or (len(self) and j >= len(self)):
-            raise UsageError(f"offset j={j} out of range for {len(self)} records")
-        if j == 0:
-            return BitString.from_array(self.a ^ self.b)
-        return BitString.from_array(self.a[: len(self) - j] ^ self.b[j:])
+        return xor_offset(self.plus_string(), self.times_string(), j)
 
     def __repr__(self) -> str:
         return f"PairStream(n={len(self)})"

@@ -84,12 +84,21 @@ def test_overflowing_count_is_a_usage_error(tmp_path):
     assert not (tmp_path / "stream.ndjson").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pairs,interval", [(2, "inf"), (10, "1e308")])
+def test_unbounded_mean_interval_is_a_usage_error(tmp_path, capsys, pairs, interval):
+    # an infinite mean, or one whose arrival times overflow, names the field it came from
+    assert run_cli("simulate", "--pairs", pairs, "--mean-interval", interval,
+                   "--out-dir", tmp_path) == 2
+    assert "mean_pair_interval" in capsys.readouterr().err
+
+
 # --- exact -------------------------------------------------------------------------
 
 
 def test_exact_equal_efficiencies_offset_one_is_uniform(tmp_path):
     assert run_cli(
-        "exact", "--n", 4, "--j", 1, "--theta", "pi/5", "--equal-e", "--out-dir", tmp_path
+        "exact", "--n", 4, "--j", 1, "--theta", "pi/5", "--e", "1,1,1,1", "--out-dir", tmp_path
     ) == 0
     header, rows = csv_rows(tmp_path / "distribution.csv")
     assert header == ["index", "bitstring", "probability"]
@@ -303,6 +312,16 @@ def test_extract_peres_packed_output(tmp_path):
     assert r["in"] == 8 and r["params"] == {"depth": 2}
 
 
+@pytest.mark.parametrize("method", ["xor", "vn", "peres", "pair-vn"])
+def test_extract_from_an_empty_stream_writes_no_bits(tmp_path, method):
+    empty = np.zeros(0, dtype=np.uint8)
+    write_stream_ndjson(tmp_path / "empty.ndjson", PairStream(np.zeros(0), empty, empty))
+    assert run_cli("extract", "--method", method, "--stream", tmp_path / "empty.ndjson",
+                   "--out-dir", tmp_path) == 0
+    r = read_manifest(tmp_path)["results"]
+    assert r["in"] == 0 and r["out"] == 0
+
+
 def test_extract_requires_an_input(tmp_path):
     assert run_cli("extract", "--method", "vn", "--out-dir", tmp_path) == 2
     assert run_cli("extract", "--method", "xor", "--in-x", "only-one.bits",
@@ -512,6 +531,7 @@ HOSTILE_ARGV = [
     ("simulate --pairs 10 --seed -1", 2),
     ("simulate --pairs 10 --dead-time nan", 2),
     ("simulate --pairs 1e13", 3),
+    ("exact --n 2 --equal-e", 2),
     ("sweep --grid 0:pi/2:3 --empirical 1e13", 3),
     ("sweep --grid 0:pi/2:9 --empirical 1000 --seed %d" % (2**64 - 8), 2),
     ("sweep --grid 0:1:%d" % (GRID_CAP + 1), 3),
@@ -536,6 +556,7 @@ def _hostile_files(tmp_path):
     return files
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,code", HOSTILE_ARGV)
 def test_hostile_argv_ends_in_its_exit_code(tmp_path, capsys, argv, code):
     files = _hostile_files(tmp_path)
@@ -578,7 +599,6 @@ _CONFIG_FLAGS = {
     "--config": _file("config"),
     "--theta": st.sampled_from(["0.6", "pi/5", "pi/0", "2", "nan", "x"]),
     "--e": st.sampled_from(["0.3,0.33,0.29,0.3", "1,1,1,1", "0,1,1,1", "1,1,1", "1,1,1,nan"]),
-    "--equal-e": st.none(),
 }
 _FLAGS = {
     "exact": {"--n": st.integers(-1, 8).map(str), "--j": st.integers(-1, 4).map(str),
@@ -616,6 +636,7 @@ def _argv(draw):
     return argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argv())

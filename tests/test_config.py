@@ -29,6 +29,7 @@ def test_defaults():
         {"demon_rho": 0.0},
         {"demon_rho": 1.0},
         {"dead_time_Td": math.nan},
+        {"mean_pair_interval": math.inf},
     ],
 )
 def test_rejects_out_of_range_fields(kwargs):
@@ -56,18 +57,17 @@ def test_drift_must_keep_efficiencies_in_range():
 
 
 def test_efficiencies_at_without_drift_broadcasts():
+    # plain floats broadcast against any t
     cfg = QrngConfig(e0_plus=0.3, e1_plus=0.4, e0_times=0.5, e1_times=0.6)
-    eff = cfg.efficiencies_at(np.array([0.0, 7.5, 123.0]))
-    assert eff.shape == (3, 4)
-    assert np.all(eff == np.array([0.3, 0.4, 0.5, 0.6]))
+    assert cfg.efficiency_columns(np.array([0.0, 7.5, 123.0])) == (0.3, 0.4, 0.5, 0.6)
 
 
 def test_efficiencies_at_applies_sinusoid():
     drift = DriftSpec(amplitudes=(0.2, 0.0, 0.0, 0.0), period=8.0, phases=(0.0,) * 4)
     cfg = QrngConfig(e0_plus=0.5, drift=drift)
-    eff = cfg.efficiencies_at(np.array([0.0, 2.0, 4.0, 6.0]))
-    assert eff[:, 0] == pytest.approx([0.5, 0.7, 0.5, 0.3])
-    assert np.all(eff[:, 1:] == 1.0)
+    e0p, *rest = cfg.efficiency_columns(np.array([0.0, 2.0, 4.0, 6.0]))
+    assert e0p == pytest.approx([0.5, 0.7, 0.5, 0.3])
+    assert np.all(np.array(rest) == 1.0)
 
 
 def test_efficiencies_at_honours_phase():
@@ -75,8 +75,7 @@ def test_efficiencies_at_honours_phase():
         amplitudes=(0.0, 0.0, 0.2, 0.0), period=8.0, phases=(0.0, 0.0, math.pi / 2, 0.0)
     )
     cfg = QrngConfig(e0_times=0.5, drift=drift)
-    eff = cfg.efficiencies_at(np.array([0.0]))
-    assert eff[0, 2] == pytest.approx(0.7)
+    assert cfg.efficiency_columns(np.array([0.0]))[2][0] == pytest.approx(0.7)
 
 
 @pytest.mark.parametrize("phases", [(0.0,) * 4, (0.5, 0.5, 1.0, 0.5), (3.0, 2.0, 1.0, 0.25)])
@@ -88,8 +87,9 @@ def test_efficiencies_at_equals_the_per_column_sinusoid(phases):
     expected = np.asarray(cfg.efficiencies) + np.asarray(drift.amplitudes) * np.sin(
         2.0 * math.pi * t / drift.period + np.asarray(phases)
     )
-    assert np.array_equal(cfg.efficiencies_at(t[:, 0]), expected)
-    assert np.array_equal(cfg.efficiencies_at(7.5), cfg.efficiencies_at(np.array([7.5]))[0])
+    assert np.array_equal(np.stack(cfg.efficiency_columns(t[:, 0]), axis=-1), expected)
+    at_scalar = np.stack(cfg.efficiency_columns(7.5))
+    assert np.array_equal(at_scalar, np.stack(cfg.efficiency_columns(np.array([7.5])))[:, 0])
 
 
 def test_dict_round_trip_with_drift():
@@ -104,6 +104,19 @@ def test_dict_round_trip_with_drift():
     assert again == cfg
     # and the dict itself is plain JSON material
     json.dumps(cfg.to_dict())
+
+
+def test_config_json_text_is_pinned():
+    # manifests embed this text, so its bytes are part of the determinism contract
+    drift = DriftSpec(amplitudes=(0.05, 0.02, 0.03, 0.04), period=50.0, phases=(0.0, 1.0, 0.0, 2.0))
+    cfg = QrngConfig(0.6, 0.8, 0.85, 0.78, 0.82, drift=drift, dead_time_Td=0.3,
+                     double_count_prob=0.05, demon_rho=0.6)
+    assert json.dumps(cfg.to_dict(), sort_keys=True) == (
+        '{"dead_time_Td": 0.3, "demon_rho": 0.6, "double_count_prob": 0.05, "drift": '
+        '{"amplitudes": [0.05, 0.02, 0.03, 0.04], "period": 50.0, "phases": [0.0, 1.0, 0.0, 2.0]}, '
+        '"e0_plus": 0.8, "e0_times": 0.78, "e1_plus": 0.85, "e1_times": 0.82, '
+        '"mean_pair_interval": 1.0, "theta": 0.6}'
+    )
 
 
 def test_from_dict_rejects_unknown_keys():

@@ -55,7 +55,7 @@ def test_uniform_and_bias_constructors():
 def test_prob_accessors():
     d = ExactDistribution.from_bias(BiasParams(0.75, 0.25), 2)
     assert d.prob(BitString("01")) == pytest.approx(0.1875)
-    assert d[3] == pytest.approx(0.0625)
+    assert d.probs[3] == pytest.approx(0.0625)
     with pytest.raises(UsageError):
         d.prob(BitString("011"))
     with pytest.raises(UsageError):

@@ -40,6 +40,7 @@ def test_xor_offset_basic():
     assert xor_offset(x, x, 0) == BitString("0000")
     assert xor_offset(BitString("1010"), BitString("0110"), 0) == BitString("1100")
     assert xor_offset(BitString("110"), BitString("011"), 1) == BitString("00")
+    assert xor_offset(BitString(), BitString(), 0) == BitString()
 
 
 def test_xor_offset_validates():

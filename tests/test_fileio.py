@@ -556,9 +556,9 @@ def test_reports_csv_contents(tmp_path):
 
 def test_sweep_csv_contents(tmp_path):
     p = tmp_path / "sweep.csv"
-    write_sweep_csv(p, [(0.0, 1.0, 1.0), (math.pi / 4, 0.5, 0.5)], with_empirical=False)
+    write_sweep_csv(p, [(0.0, 1.0, 1.0), (math.pi / 4, 0.5, 0.5)])
     lines = p.read_text().splitlines()
     assert lines[0] == "theta,expectation_quantum,expectation_classical"
     assert lines[1] == "0.0,1.0,1.0"
-    write_sweep_csv(p, [(0.0, 1.0, 1.0, 0.99)], with_empirical=True)
+    write_sweep_csv(p, [(0.0, 1.0, 1.0, 0.99)])
     assert p.read_text().splitlines()[0].endswith(",expectation_empirical")
