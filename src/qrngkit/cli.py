@@ -104,9 +104,10 @@ def _parse_efficiencies(text: str) -> dict:
     return dict(zip(DETECTOR_NAMES, values))
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser, theta: bool = True):
     p.add_argument("--config", metavar="FILE", help="JSON file of generator settings; flags override it")
-    p.add_argument("--theta", metavar="ANGLE", help="context misalignment, e.g. 0.635 or pi/5")
+    if theta:
+        p.add_argument("--theta", metavar="ANGLE", help="context misalignment, e.g. 0.635 or pi/5")
     p.add_argument("--e", metavar="Q", help="efficiency quadruple e0+,e1+,e0x,e1x")
 
 
@@ -114,11 +115,18 @@ def _build_config(args, extra: dict | None = None) -> QrngConfig:
     """The --config file (or the defaults) with the given flags applied over it."""
     cfg = QrngConfig.from_json(args.config) if args.config else QrngConfig()
     overrides = {key: value for key, value in (extra or {}).items() if value is not None}
-    if args.theta is not None:
+    if getattr(args, "theta", None) is not None:
         overrides["theta"] = parse_angle(args.theta)
     if args.e is not None:
         overrides.update(_parse_efficiencies(args.e))
     return dataclasses.replace(cfg, **overrides)
+
+
+def _refuse_unread(args, reason: str, *dests: str) -> None:
+    """Usage error naming each flag of ``dests`` the run was given but would ignore."""
+    given = ["--" + dest for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise UsageError(f"{' and '.join(given)} would be ignored: {reason}")
 
 
 def _out_dir(args) -> Path:
@@ -139,6 +147,11 @@ def _write_manifest(args, params: dict, results: dict, outputs: list) -> None:
 
 def cmd_exact(args) -> int:
     cfg = _build_config(args)
+    # the config fields the exact law does not model; each is falsy when unset
+    unmodelled = [f for f in ("drift", "double_count_prob", "demon_rho") if getattr(cfg, f)]
+    if unmodelled:
+        raise UsageError("exact computes the ideal pair law; it would ignore "
+                         + " and ".join(f"config field {f}" for f in unmodelled))
     dist = xor_distribution_transfer(args.n, args.j, cfg, max_bits=args.max_bits)
     tv = tv_distance(dist, ExactDistribution.uniform(args.n))
     out = _out_dir(args)
@@ -207,15 +220,20 @@ def _extract_source(args):
 
 
 def cmd_extract(args) -> int:
+    for method, dest in (("xor", "j"), ("peres", "depth")):
+        if args.method != method:
+            _refuse_unread(args, f"only method {method} reads it", dest)
     given, strings = _extract_source(args)
-    params = {"xor": {"j": args.j}, "peres": {"depth": args.depth}}.get(args.method, {})
+    j = 0 if args.j is None else args.j
+    depth = 4 if args.depth is None else args.depth
+    params = {"xor": {"j": j}, "peres": {"depth": depth}}.get(args.method, {})
     if args.method == "xor":
         x, y = strings
-        result = ExtractionOutput(xor_offset(x, y, args.j), len(x), args.j)
+        result = ExtractionOutput(xor_offset(x, y, j), len(x), j)
     elif args.method == "vn":
         result = von_neumann(*strings)
     elif args.method == "peres":
-        result = peres(*strings, args.depth)
+        result = peres(*strings, depth)
     else:
         result = pair_von_neumann(*strings)
     bits = result.bits
@@ -248,9 +266,14 @@ def cmd_analyze(args) -> int:
     unknown = set(tests) - {"chi2", "borel"}
     if unknown:
         raise UsageError(f"unknown tests: {', '.join(sorted(unknown))}")
+    if "chi2" not in tests:
+        _refuse_unread(args, f"--tests {args.tests} runs no chi2", "k", "alpha")
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     results: dict = {}
     if args.stream is not None:
         stream = read_stream_ndjson(args.stream)
+        if not len(stream):
+            raise UsageError(f"stream {args.stream} holds 0 records; the tests need bits")
         x, y = stream.plus_string(), stream.times_string()
         bits = xor_offset(x, y, 0)
         results["correlation"] = correlation_estimate(x, y)
@@ -261,7 +284,7 @@ def cmd_analyze(args) -> int:
     reports = []
     if "chi2" in tests:
         for k in _chi2_blocks(args, len(bits)):
-            reports.append(chi2_uniformity(bits, k, alpha=args.alpha))
+            reports.append(chi2_uniformity(bits, k, alpha=alpha))
     if "borel" in tests:
         reports.extend(borel_normality(bits))
     out = _out_dir(args)
@@ -270,7 +293,7 @@ def cmd_analyze(args) -> int:
     _write_manifest(
         args,
         {"in": args.infile, "stream": args.stream, "tests": args.tests,
-         "k": args.k, "alpha": args.alpha, "bits": len(bits)},
+         "k": args.k, "alpha": alpha, "bits": len(bits)},
         results,
         ["reports.json", "reports.csv", "manifest.json"],
     )
@@ -299,18 +322,21 @@ def _parse_grid(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if not args.empirical:
+        _refuse_unread(args, "only --empirical draws pairs", "e", "config", "seed")
+    seed = 0 if args.seed is None else args.seed
     thetas = _parse_grid(args)
     cfg = _build_config(args)
     # point i draws with seed + i, so the last point's seed must be valid before the first draws
-    if args.empirical and not 0 <= args.seed <= 2**64 - len(thetas):
+    if args.empirical and not 0 <= seed <= 2**64 - len(thetas):
         raise UsageError(f"--seed must lie in [0, 2**64 - {len(thetas)}] "
-                         f"for {len(thetas)} points, got {args.seed}")
+                         f"for {len(thetas)} points, got {seed}")
     rows = []
     for i, theta in enumerate(thetas):
         row = [theta, xor_expectation_quantum(theta), xor_expectation_classical(theta)]
         if args.empirical:
             cfg_t = dataclasses.replace(cfg, theta=theta)
-            stream = run_pipeline(args.empirical, cfg_t, args.seed + i).records
+            stream = run_pipeline(args.empirical, cfg_t, seed + i).records
             z = stream.a ^ stream.b
             row.append(1.0 - float(z.mean()))
         rows.append(row)
@@ -318,7 +344,7 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(out / "sweep.csv", rows)
     _write_manifest(
         args,
-        {"thetas": thetas, "empirical": args.empirical, "seed": args.seed,
+        {"thetas": thetas, "empirical": args.empirical, "seed": seed,
          "config": cfg.to_dict()},
         {"points": len(rows)},
         ["sweep.csv", "manifest.json"],
@@ -366,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exact", help="compute the exact offset-XOR output law")
+    p = sub.add_parser("exact", help="compute the exact offset-XOR output law",
+                       description="Exact offset-XOR law of the ideal pair source. A config's "
+                       "dead_time_Td and mean_pair_interval leave it unchanged; a drift, a "
+                       "non-zero double_count_prob or a demon_rho exits 2.")
     p.add_argument("--n", type=parse_count, required=True, help="output string length")
     p.add_argument("--j", type=int, default=0, help="XOR offset (default 0)")
     p.add_argument("--max-bits", type=int, default=ENUMERATION_CAP,
@@ -393,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in-x", help="first input bit file (xor, pair-vn)")
     p.add_argument("--in-y", help="second input bit file (xor, pair-vn)")
     p.add_argument("--stream", help="NDJSON stream as input instead of bit files")
-    p.add_argument("--j", type=int, default=0, help="offset for method xor")
-    p.add_argument("--depth", type=int, default=4, help="recursion depth for method peres")
+    p.add_argument("--j", type=int, help="offset for method xor (default 0)")
+    p.add_argument("--depth", type=int, help="recursion depth for method peres (default 4)")
     p.add_argument("--format", choices=("ascii", "packed"), default="ascii",
                    help="output bit-file mode")
     p.set_defaults(func=cmd_extract)
@@ -404,19 +433,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--in", dest="infile", help="input bit file")
     g.add_argument("--stream", help="NDJSON stream; tests run on its offset-0 XOR bits")
     p.add_argument("--tests", default="chi2,borel", help="comma list from: chi2, borel")
-    p.add_argument("--k", default=None, help="comma list of block lengths for chi2")
-    p.add_argument("--alpha", type=_parse_alpha, default=DEFAULT_ALPHA,
-                   help="significance level, strictly between 0 and 1")
+    p.add_argument("--k", help="comma list of block lengths for chi2")
+    p.add_argument("--alpha", type=_parse_alpha,
+                   help=f"chi2 significance level in (0, 1) (default {DEFAULT_ALPHA})")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="tabulate expectation curves over angles")
+    # no abbreviations: --theta would otherwise silently stand for --thetas
+    p = sub.add_parser("sweep", help="tabulate expectation curves over angles", allow_abbrev=False)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--thetas", help="comma list of angles")
     g.add_argument("--grid", help=f"angle grid start:stop:count, at most {GRID_CAP} points")
     p.add_argument("--empirical", type=parse_count, default=None, metavar="PAIRS",
                    help="add a simulated column with this many pairs per angle")
-    p.add_argument("--seed", type=int, default=0)
-    _add_config_flags(p)
+    p.add_argument("--seed", type=int, help="seed of the first angle's draw (default 0)")
+    _add_config_flags(p, theta=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("demon-demo", help="show the fair-sampling demon on coin flips")

@@ -5,7 +5,7 @@ The transfer route (`xor_distribution_transfer`, the one `qrngkit exact`
 uses) runs a forward recursion over the pair chains the offset XOR reads.
 The enumeration route (`joint_distribution`, `xor_distribution`) is the
 oracle: it sums per-pair weights over the full outcome space and normalizes
-by the brute total. The closed-form route (`pair_prob`, `marginal_bias`,
+by the brute total. The closed-form route (`pair_prob_table`, `marginal_bias`,
 `xor_bias`, `xor_distribution_closed_form`) evaluates the analytic formulas
 directly.
 
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstring import BitString
 from .config import QrngConfig
 from .errors import ResourceBudgetError, UsageError
 
@@ -61,7 +60,6 @@ __all__ = [
     "ENUMERATION_CAP",
     "BiasParams",
     "ExactDistribution",
-    "pair_prob",
     "pair_prob_table",
     "joint_distribution",
     "marginal_bias",
@@ -73,7 +71,6 @@ __all__ = [
     "l1_distance",
     "xor_expectation_quantum",
     "xor_expectation_classical",
-    "taylor_gap",
 ]
 
 # Enumerating the XOR'd law touches 2^(2(n+j)) weight terms; n + j = 12 keeps
@@ -154,61 +151,10 @@ class ExactDistribution:
     def is_pair(self) -> bool:
         return self.probs.ndim == 2
 
-    def prob(self, z: BitString) -> float:
-        if self.is_pair:
-            raise UsageError("joint law indexed by a pair of strings; use prob_pair")
-        if len(z) != self.n:
-            raise UsageError(f"string length {len(z)} does not match support {self.n}")
-        return float(self.probs[z.value])
-
-    def prob_pair(self, x: BitString, y: BitString) -> float:
-        if not self.is_pair:
-            raise UsageError("single-string law; use prob")
-        if len(x) != self.n or len(y) != self.n:
-            raise UsageError("string lengths do not match support")
-        return float(self.probs[x.value, y.value])
-
     def deviation_from_uniform(self) -> np.ndarray:
         if self.is_pair:
             raise UsageError("uniform deviation is for single-string laws")
         return self.probs - 1.0 / (1 << self.n)
-
-    # --- cylinder queries on joint laws -------------------------------------
-
-    def marginal(self, side: str) -> "ExactDistribution":
-        """Discard one string of a joint law; ``side`` names the kept one."""
-        if not self.is_pair:
-            raise UsageError("marginal is for joint laws")
-        if side == "plus":
-            return ExactDistribution(self.n, self.probs.sum(axis=1))
-        if side == "times":
-            return ExactDistribution(self.n, self.probs.sum(axis=0))
-        raise UsageError("side must be 'plus' or 'times'")
-
-    def prefix_prob(self, xp: BitString, yp: BitString) -> float:
-        """Probability that x starts with ``xp`` and y starts with ``yp``."""
-        if not self.is_pair:
-            raise UsageError("prefix_prob is for joint laws")
-        k = len(xp)
-        if len(yp) != k or k > self.n:
-            raise UsageError("prefixes must have equal length <= n")
-        rest = 1 << (self.n - k)
-        block = self.probs.reshape(1 << k, rest, 1 << k, rest)
-        return float(block[xp.value, :, yp.value, :].sum())
-
-    def infix_prob(self, offset: int, x: BitString, y: BitString) -> float:
-        """Probability that positions offset..offset+L-1 equal ``x`` and ``y``."""
-        if not self.is_pair:
-            raise UsageError("infix_prob is for joint laws")
-        L = len(x)
-        if len(y) != L or offset < 0 or offset + L > self.n:
-            raise UsageError("infix placement out of range")
-        values = np.arange(1 << self.n, dtype=np.uint32)
-        shift = self.n - offset - L
-        mid = (values >> shift) & ((1 << L) - 1)
-        selx = mid == x.value
-        sely = mid == y.value
-        return float(self.probs[np.ix_(selx, sely)].sum())
 
 
 # --- closed forms ----------------------------------------------------------
@@ -224,14 +170,6 @@ def _pair_weights(cfg: QrngConfig):
     w11 = c * cfg.e1_plus * cfg.e1_times
     z1 = w00 + w01 + w10 + w11
     return (w00, w01, w10, w11), z1
-
-
-def pair_prob(a: int, b: int, cfg: QrngConfig) -> float:
-    """Probability of the joint outcome (a, b) for one detected pair."""
-    if a not in (0, 1) or b not in (0, 1):
-        raise UsageError("outcomes must be bits")
-    w, z1 = _pair_weights(cfg)
-    return w[2 * a + b] / z1
 
 
 def pair_prob_table(cfg: QrngConfig) -> np.ndarray:
@@ -478,14 +416,3 @@ def xor_expectation_classical(theta: float) -> float:
     _check_theta_range(theta)
     return 1.0 - 2.0 * theta / math.pi
 
-
-def taylor_gap(delta_theta: float) -> tuple[float, float]:
-    """First-order deviations of both curves from 1/2 around theta = pi/4.
-
-    Returns (|delta|, (2/pi)*|delta|): a misalignment of delta moves the
-    quantum curve pi/2 times faster than the classical one.
-    """
-    if abs(delta_theta) > 0.2:
-        raise UsageError("taylor_gap is a small-angle expansion; |delta| <= 0.2")
-    d = abs(delta_theta)
-    return d, 2.0 * d / math.pi

@@ -31,7 +31,6 @@ __all__ = [
     "peres",
     "pair_von_neumann",
     "XorOffsetExtractor",
-    "VonNeumannExtractor",
     "PeresExtractor",
     "PairVonNeumannExtractor",
 ]
@@ -185,13 +184,6 @@ class PeresExtractor(_Pairing):
 
     def finish(self) -> BitString:
         return BitString.from_array(self._finish())
-
-
-class VonNeumannExtractor(PeresExtractor):
-    """Pairwise debiaser: 01 -> 0, 10 -> 1, equal pairs discarded."""
-
-    def __init__(self):
-        super().__init__(depth=1)
 
 
 def peres(z: BitString, depth: int = 4) -> ExtractionOutput:

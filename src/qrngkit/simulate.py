@@ -105,7 +105,7 @@ def _check_n(n: int):
 def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     """Draw n pairs straight from the detected-pair law.
 
-    Each record's outcomes follow `exact.pair_prob` evaluated with the
+    Each record's outcomes follow `exact.pair_prob_table` evaluated with the
     efficiencies in force at the record's arrival time, so a configured drift
     shows up as a slowly wandering bias.
     """

@@ -174,27 +174,16 @@ def estimate_theta(x: BitString, y: BitString) -> ThetaEstimate:
     return ThetaEstimate(theta, 1.0 / (2.0 * math.sqrt(n)), n, rate in (0.0, 1.0))
 
 
-def empirical_distribution(samples, n: int) -> ExactDistribution:
-    """Frequency-normalized law of equal-length samples.
-
-    ``samples`` may be an iterable of BitString or a numpy integer array of
-    string values (each sample's `BitString.value`).
-    """
+def empirical_distribution(values: np.ndarray, n: int) -> ExactDistribution:
+    """Frequency-normalized law of n-bit samples, given as integer string values
+    (each sample's `BitString.value`)."""
     if n < 1:
         raise UsageError("support length must be positive")
     size = 1 << n
-    if isinstance(samples, np.ndarray):
-        values = samples.astype(np.int64, copy=False)
-        if values.size and (values.min() < 0 or values.max() >= size):
-            raise UsageError(f"sample values outside the {n}-bit range")
-    else:
-        collected = []
-        for s in samples:
-            if len(s) != n:
-                raise UsageError(f"sample of length {len(s)} in a length-{n} batch")
-            collected.append(s.value)
-        values = np.asarray(collected, dtype=np.int64)
+    values = np.asarray(values).astype(np.int64, copy=False)
     if values.size == 0:
         raise UsageError("need at least one sample")
+    if values.min() < 0 or values.max() >= size:
+        raise UsageError(f"sample values outside the {n}-bit range")
     counts = np.bincount(values, minlength=size)
     return ExactDistribution(n, counts / values.size)

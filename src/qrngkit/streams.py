@@ -11,7 +11,6 @@ import numpy as np
 
 from .bitstring import BitString
 from .errors import UsageError
-from .extractors import xor_offset
 
 __all__ = ["PairStream"]
 
@@ -53,10 +52,6 @@ class PairStream:
 
     def times_string(self) -> BitString:
         return BitString.from_array(self.b)
-
-    def xor_string(self, j: int = 0) -> BitString:
-        """Offset-XOR of the two outcome columns: bit i is a_i XOR b_{i+j}."""
-        return xor_offset(self.plus_string(), self.times_string(), j)
 
     def __repr__(self) -> str:
         return f"PairStream(n={len(self)})"

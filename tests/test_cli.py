@@ -371,6 +371,16 @@ def test_analyze_rejects_unknown_test_names(tmp_path, monkeypatch):
     assert not (tmp_path / "reports.json").exists()
 
 
+def test_analyze_names_an_empty_stream(tmp_path, capsys):
+    empty = np.zeros(0, dtype=np.uint8)
+    write_stream_ndjson(tmp_path / "empty.ndjson", PairStream(np.zeros(0), empty, empty))
+    assert run_cli("analyze", "--stream", tmp_path / "empty.ndjson",
+                   "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "empty.ndjson" in err and "0 records" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_needs_some_input(tmp_path):
     assert run_cli("analyze", "--out-dir", tmp_path) == 2
     assert run_cli("analyze", "--in", tmp_path / "missing.bits", "--out-dir", tmp_path) == 2
@@ -521,6 +531,41 @@ CONFLICTING_SOURCES = [
     "sweep --thetas 0.1 --grid 0:1:3",
 ]
 
+# A flag or config field the run would ignore is refused: exit 2, the flag or
+# field named on stderr, no output directory. {cfg} is a config file holding
+# the text given with the case; each text is valid on its own.
+_DRIFT = ('{"e0_plus": 0.5, "e1_plus": 0.5, "e0_times": 0.5, "e1_times": 0.5, '
+          '"drift": {"amplitudes": [0.1, 0.1, 0.1, 0.1], "period": 1000}}')
+IGNORED_INPUTS = [
+    ("exact --n 2 --config {cfg}", _DRIFT, "drift"),
+    ("exact --n 2 --config {cfg}", '{"double_count_prob": 0.3}', "double_count_prob"),
+    ("exact --n 2 --config {cfg}", '{"demon_rho": 0.8}', "demon_rho"),
+    ("sweep --thetas 0.3,0.6 --theta pi/5", None, "--theta"),
+    ("sweep --grid 0:1:3 --empirical 10 --theta pi/5", None, "--theta"),
+    ("sweep --grid 0:1:3 --e 1,1,1,1", None, "--e"),
+    ("sweep --grid 0:1:3 --config {cfg}", '{"theta": 0.6}', "--config"),
+    ("sweep --thetas 0.3 --seed 3", None, "--seed"),
+    ("extract --method vn --j 1 --in {bits}", None, "--j"),
+    ("extract --method peres --j 5 --in {bits}", None, "--j"),
+    ("extract --method xor --depth 3 --stream {stream}", None, "--depth"),
+    ("extract --method pair-vn --depth 3 --in-x {bits} --in-y {bits}", None, "--depth"),
+    ("analyze --in {bits} --tests borel --k 1", None, "--k"),
+    ("analyze --stream {stream} --tests borel --alpha 0.05", None, "--alpha"),
+]
+
+
+@pytest.mark.parametrize("argv,config,name", IGNORED_INPUTS)
+def test_ignored_flags_and_fields_are_refused(tmp_path, capsys, argv, config, name):
+    files = _hostile_files(tmp_path)
+    if config is not None:
+        files["cfg"] = tmp_path / "cfg.json"
+        files["cfg"].write_text(config)
+    out = tmp_path / "out"
+    assert run_cli(*[part.format(**files) for part in argv.split()], "--out-dir", out) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Hostile argv and the documented exit code of each: 0 success, 2 usage, 3
 # budget, 4 malformed file. {bits} is an 8-bit input file, {stream} an 8-record
 # pair stream, {cfgN} bad config file N. A refused command writes nothing.
@@ -619,7 +664,7 @@ _FLAGS = {
               "--grid": st.sampled_from(["0:pi/2:3", "1:0:2", "0:1:1", "a:b:2", "0:1:x",
                                          "0:1:%d" % (GRID_CAP + 1)]),
               "--empirical": st.sampled_from(["1", "500", "1e13", "0", "x"]), "--seed": _SEED,
-              **_CONFIG_FLAGS},
+              "--config": _CONFIG_FLAGS["--config"], "--e": _CONFIG_FLAGS["--e"]},
     "demon-demo": {"--rho": _FLOAT, "--n": _COUNT, "--seed": _SEED},
 }
 

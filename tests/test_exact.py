@@ -7,7 +7,6 @@ import pytest
 
 from qrngkit import (
     BiasParams,
-    BitString,
     ExactDistribution,
     QrngConfig,
     ResourceBudgetError,
@@ -15,9 +14,7 @@ from qrngkit import (
     joint_distribution,
     l1_distance,
     marginal_bias,
-    pair_prob,
     pair_prob_table,
-    taylor_gap,
     tv_distance,
     xor_bias,
     xor_distribution,
@@ -54,12 +51,9 @@ def test_uniform_and_bias_constructors():
 
 def test_prob_accessors():
     d = ExactDistribution.from_bias(BiasParams(0.75, 0.25), 2)
-    assert d.prob(BitString("01")) == pytest.approx(0.1875)
+    assert d.probs[0b01] == pytest.approx(0.1875)
     assert d.probs[3] == pytest.approx(0.0625)
-    with pytest.raises(UsageError):
-        d.prob(BitString("011"))
-    with pytest.raises(UsageError):
-        d.prob_pair(BitString("01"), BitString("00"))
+    assert not d.is_pair and joint_distribution(2, QrngConfig()).is_pair
 
 
 def test_deviation_from_uniform():
@@ -68,38 +62,11 @@ def test_deviation_from_uniform():
     assert d.deviation_from_uniform().tolist() == [0.25, -0.25]
 
 
-def test_pair_law_cylinder_queries(skewed_cfg):
-    jd = joint_distribution(4, skewed_cfg)
-    # brute-force the same cylinder masses straight from the dense table
-    probs = jd.probs
-    xp, yp = BitString("01"), BitString("10")
-    brute = probs[
-        np.ix_(
-            [v for v in range(16) if v >> 2 == xp.value],
-            [v for v in range(16) if v >> 2 == yp.value],
-        )
-    ].sum()
-    assert jd.prefix_prob(xp, yp) == pytest.approx(brute, abs=1e-15)
-
-    xi, yi = BitString("11"), BitString("01")
-    sel_x = [v for v in range(16) if (v >> 1) & 0b11 == xi.value]
-    sel_y = [v for v in range(16) if (v >> 1) & 0b11 == yi.value]
-    brute = probs[np.ix_(sel_x, sel_y)].sum()
-    assert jd.infix_prob(1, xi, yi) == pytest.approx(brute, abs=1e-15)
-
-    with pytest.raises(UsageError):
-        jd.infix_prob(3, xi, yi)
-    with pytest.raises(UsageError):
-        ExactDistribution.uniform(4).prefix_prob(xp, yp)
-
-
 def test_marginal_of_joint_law(skewed_cfg):
     jd = joint_distribution(3, skewed_cfg)
-    left = jd.marginal("plus")
-    expect = ExactDistribution.from_bias(marginal_bias(skewed_cfg, "plus"), 3)
-    assert np.abs(left.probs - expect.probs).max() < 1e-15
-    with pytest.raises(UsageError):
-        jd.marginal("up")
+    for side, axis in (("plus", 1), ("times", 0)):
+        expect = ExactDistribution.from_bias(marginal_bias(skewed_cfg, side), 3)
+        assert np.abs(jd.probs.sum(axis=axis) - expect.probs).max() < 1e-15
 
 
 # --- single-pair law ------------------------------------------------------------
@@ -127,9 +94,6 @@ def test_pair_prob_skewed_values(skewed_cfg):
     assert t[0, 1] == pytest.approx(0.16726651613514134, abs=1e-16)
     assert t[1, 0] == pytest.approx(0.17786006215703363, abs=1e-16)
     assert t[1, 1] == pytest.approx(0.34856165994126173, abs=1e-16)
-    assert pair_prob(1, 0, skewed_cfg) == t[1, 0]
-    with pytest.raises(UsageError):
-        pair_prob(2, 0, skewed_cfg)
 
 
 def test_marginal_bias(skewed_cfg):
@@ -285,15 +249,6 @@ def test_expectation_domain_checked():
         xor_expectation_quantum(-0.1)
     with pytest.raises(UsageError):
         xor_expectation_classical(2.0)
-
-
-def test_taylor_gap():
-    q, c = taylor_gap(0.05)
-    assert q == pytest.approx(0.05)
-    assert c == pytest.approx(0.1 / math.pi)
-    assert q / c == pytest.approx(math.pi / 2, abs=1e-12)
-    with pytest.raises(UsageError):
-        taylor_gap(0.3)
 
 
 # --- transfer route ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from qrngkit import (
     PeresExtractor,
     QrngConfig,
     UsageError,
-    VonNeumannExtractor,
     XorOffsetExtractor,
     pair_prob_table,
     pair_von_neumann,
@@ -236,7 +235,7 @@ def drain(ext, pieces, two_sided=False):
 
 
 @pytest.mark.parametrize("make,one_shot", [
-    (VonNeumannExtractor, lambda z: von_neumann(z).bits),
+    pytest.param(lambda: PeresExtractor(1), lambda z: von_neumann(z).bits, id="peres1"),
     (lambda: PeresExtractor(3), lambda z: peres(z, 3).bits),
     (lambda: PeresExtractor(5), lambda z: peres(z, 5).bits),
     pytest.param(lambda: PeresExtractor(8), lambda z: peres(z, 8).bits, id="peres8"),
@@ -278,7 +277,7 @@ def test_pair_vn_streaming_chunking_invariance():
 
 
 def test_streaming_counters():
-    ext = VonNeumannExtractor()
+    ext = PeresExtractor(1)
     ext.feed(BitString("0001"))
     ext.feed(BitString("1011"))
     ext.finish()

@@ -65,10 +65,6 @@ def test_stream_access():
     assert len(s) == 2
     assert s.plus_string() == BitString("10")
     assert s.times_string() == BitString("11")
-    assert s.xor_string() == BitString("01")
-    assert s.xor_string(1) == BitString("0")  # a_0 ^ b_1 = 1 ^ 1
-    with pytest.raises(UsageError):
-        s.xor_string(2)
 
 
 # --- ideal sampling ------------------------------------------------------------

@@ -267,7 +267,7 @@ def test_xor_suppresses_common_mode_drift():
     three_sigma = 3 * 0.5 / 1000.0
     bias_plus = s.plus_string().count(1) / 1_000_000 - 0.5
     bias_times = s.times_string().count(1) / 1_000_000 - 0.5
-    bias_xor = s.xor_string(0).count(1) / 1_000_000 - 0.5
+    bias_xor = (s.a ^ s.b).sum() / 1_000_000 - 0.5
     assert abs(bias_plus) > three_sigma
     assert abs(bias_times) > three_sigma
     assert abs(bias_xor) < min(abs(bias_plus), abs(bias_times))
@@ -278,28 +278,26 @@ def test_xor_suppresses_common_mode_drift():
 
 
 def test_empirical_distribution_point_mass():
-    d = empirical_distribution([BitString("10")], 2)
-    assert d.prob(BitString("10")) == 1.0
-    assert d.prob(BitString("01")) == 0.0
+    d = empirical_distribution(np.array([0b10]), 2)
+    assert d.probs[0b10] == 1.0
+    assert d.probs[0b01] == 0.0
 
 
 def test_empirical_distribution_counts():
-    d = empirical_distribution([BitString("0"), BitString("1"), BitString("1")], 1)
+    d = empirical_distribution(np.array([0, 1, 1]), 1)
     assert d.probs[0] == pytest.approx(1 / 3)
     assert d.probs[1] == pytest.approx(2 / 3)
 
 
 def test_empirical_distribution_guards():
     with pytest.raises(UsageError):
-        empirical_distribution([BitString("01"), BitString("0")], 2)
-    with pytest.raises(UsageError):
         empirical_distribution(np.array([4]), 2)
     with pytest.raises(UsageError):
         empirical_distribution(np.array([-1]), 2)
     with pytest.raises(UsageError):
-        empirical_distribution([], 3)
+        empirical_distribution(np.zeros(0, dtype=np.int64), 3)
     with pytest.raises(UsageError):
-        empirical_distribution([BitString("0")], 0)
+        empirical_distribution(np.array([0]), 0)
 
 
 def test_empirical_distribution_converges_to_exact_law(skewed_cfg):
