@@ -1,53 +1,39 @@
-"""Packed bitstrings and the two counting primitives everything else uses.
+"""Packed bitstrings: the value type every layer passes bits in.
 
 A BitString is an immutable, ordered sequence of bits. Position 0 is the
 leftmost (most significant) bit, so ``BitString.from_index(174, 10)`` is
 ``0010101110``: integer values zero-extend to the left. Storage is a single
-Python integer, which keeps strings of millions of bits compact and makes
-XOR, slicing and popcounts word-level operations.
+Python integer, which keeps strings of millions of bits compact. The class
+only converts: text, integer value and numpy array in, the same out. The
+XOR of two strings is `extractors.xor_offset`; its count of ones is
+``.count(1)``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["BitString", "hamming_distance"]
+__all__ = ["BitString"]
 
 
 class BitString:
     """Immutable bit sequence, leftmost bit first.
 
-    Accepts a text form (``"0110"``), any iterable of 0/1 integers, or
-    another BitString. Empty strings are valid.
+    Built from a text form (``"0110"``), ``from_index`` or ``from_array``.
+    Empty strings are valid.
     """
 
     __slots__ = ("_val", "_len")
 
-    def __init__(self, bits: str | Iterable[int] | "BitString" = ()):
-        if isinstance(bits, BitString):
-            self._val = bits._val
-            self._len = bits._len
-            return
-        if isinstance(bits, str):
-            stripped = bits
-            if stripped and not set(stripped) <= {"0", "1"}:
-                raise UsageError(f"bitstring text may contain only 0/1, got {bits!r}")
-            self._len = len(stripped)
-            self._val = int(stripped, 2) if stripped else 0
-            return
-        val = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise UsageError(f"bit values must be 0 or 1, got {b!r}")
-            val = (val << 1) | b
-            n += 1
-        self._val = val
-        self._len = n
+    def __init__(self, bits: str = ""):
+        if not isinstance(bits, str):
+            raise UsageError(f"BitString takes 0/1 text, got {type(bits).__name__}")
+        if bits and not set(bits) <= {"0", "1"}:
+            raise UsageError(f"bitstring text may contain only 0/1, got {bits!r}")
+        self._len = len(bits)
+        self._val = int(bits, 2) if bits else 0
 
     # --- constructors -----------------------------------------------------
 
@@ -69,15 +55,9 @@ class BitString:
             raise UsageError("bit array must be one-dimensional")
         if a.size and a.max() > 1:
             raise UsageError("bit array may contain only 0/1")
-        if a.size == 0:
-            return cls()
         packed = np.packbits(a)  # big-endian within each byte, zero-padded at the end
         val = int.from_bytes(packed.tobytes(), "big") >> (packed.size * 8 - a.size)
         return cls.from_index(val, a.size)
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls.from_index(0, n)
 
     # --- accessors --------------------------------------------------------
 
@@ -89,26 +69,6 @@ class BitString:
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            start, stop, step = idx.indices(self._len)
-            if step == 1:
-                width = max(0, stop - start)
-                chunk = (self._val >> (self._len - stop)) & ((1 << width) - 1) if width else 0
-                return BitString.from_index(chunk, width)
-            return BitString([self[i] for i in range(start, stop, step)])
-        if idx < 0:
-            idx += self._len
-        if not 0 <= idx < self._len:
-            raise IndexError("bit index out of range")
-        return (self._val >> (self._len - 1 - idx)) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        n = self._len
-        v = self._val
-        for i in range(n):
-            yield (v >> (n - 1 - i)) & 1
-
     def count(self, b: int) -> int:
         """Number of positions holding bit value ``b``."""
         if b not in (0, 1):
@@ -117,13 +77,6 @@ class BitString:
         return ones if b == 1 else self._len - ones
 
     # --- operators --------------------------------------------------------
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        if self._len != other._len:
-            raise UsageError(f"XOR needs equal lengths, got {self._len} and {other._len}")
-        return BitString.from_index(self._val ^ other._val, self._len)
 
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
@@ -158,11 +111,4 @@ class BitString:
             return f"BitString('{self.to01()}')"
         head = format(self._val >> (self._len - 48), "048b")
         return f"BitString('{head}...', len={self._len})"
-
-
-def hamming_distance(x: BitString, y: BitString) -> int:
-    """Number of positions where ``x`` and ``y`` differ (lengths must match)."""
-    if len(x) != len(y):
-        raise UsageError(f"hamming distance needs equal lengths, got {len(x)} and {len(y)}")
-    return (x.value ^ y.value).bit_count()
 

@@ -258,7 +258,7 @@ def _chi2_blocks(args, n_bits: int) -> list[int]:
             return sorted({int(p) for p in args.k.split(",")})
         except ValueError:
             raise UsageError(f"cannot parse block list {args.k!r}") from None
-    return [k for k in range(1, 6) if n_bits >= 100 * (1 << k)]
+    return [k for k in range(1, 6) if k == 1 or n_bits >= 100 << k]
 
 
 def cmd_analyze(args) -> int:
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "non-zero double_count_prob or a demon_rho exits 2.")
     p.add_argument("--n", type=parse_count, required=True, help="output string length")
     p.add_argument("--j", type=int, default=0, help="XOR offset (default 0)")
-    p.add_argument("--max-bits", type=int, default=ENUMERATION_CAP,
+    p.add_argument("--max-bits", type=parse_count, default=ENUMERATION_CAP,
                    help=f"budget on n+j, the input string length (default {ENUMERATION_CAP})")
     p.add_argument("--tv", action="store_true", help="print the distance to uniform")
     _add_config_flags(p)

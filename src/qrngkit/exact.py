@@ -404,7 +404,8 @@ def xor_expectation_quantum(theta: float) -> float:
 
     Note the convention: this is the equal-outcomes probability cos^2(theta),
     which is 1 at theta = 0, not the mean of the XOR bits (their mean is the
-    complement, sin^2(theta); `stats.exor_rate` estimates that one).
+    complement, sin^2(theta); the count of ones of `xor_offset(x, y, 0)` over
+    its length estimates that one).
     """
     _check_theta_range(theta)
     return 0.5 * (1.0 + math.cos(2.0 * theta))

@@ -33,7 +33,6 @@ from .errors import InputFormatError, UsageError
 from .streams import PairStream
 
 __all__ = [
-    "atomic_write_bytes",
     "write_bits",
     "read_bits",
     "write_stream_ndjson",
@@ -60,14 +59,10 @@ def _atomic_open(path):
         raise
 
 
-def atomic_write_bytes(path, payload: bytes) -> Path:
+def _atomic_write(path, payload: bytes) -> Path:
     with _atomic_open(path) as fh:
         fh.write(payload)
     return Path(path)
-
-
-def _atomic_write_text(path, text: str) -> Path:
-    return atomic_write_bytes(path, text.encode("ascii"))
 
 
 # --- bit files -----------------------------------------------------------------
@@ -81,7 +76,7 @@ def write_bits(path, bits: BitString, mode: str = "ascii") -> Path:
         payload = np.packbits(bits.to_array(), bitorder="little").tobytes()
     else:
         raise UsageError(f"unknown bit-file mode {mode!r}")
-    return atomic_write_bytes(path, header + payload)
+    return _atomic_write(path, header + payload)
 
 
 def read_bits(path) -> BitString:
@@ -269,7 +264,7 @@ def read_stream_ndjson(path) -> PairStream:
 
 
 def write_json(path, obj) -> Path:
-    return _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
 
 # Law CSVs are formatted _LAW_CHUNK rows at a time straight from the float
@@ -304,7 +299,7 @@ def write_reports_csv(path, reports) -> Path:
         k = r.params.get("k", "")
         p = "" if r.p_value is None else repr(r.p_value)
         rows.append(f"{r.test_name},{k},{r.statistic!r},{p},{int(r.passed)}")
-    return _atomic_write_text(path, "\n".join(rows) + "\n")
+    return _atomic_write(path, ("\n".join(rows) + "\n").encode("ascii"))
 
 
 def write_sweep_csv(path, rows) -> Path:
@@ -315,4 +310,4 @@ def write_sweep_csv(path, rows) -> Path:
     lines = [header]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row))
-    return _atomic_write_text(path, "\n".join(lines) + "\n")
+    return _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))

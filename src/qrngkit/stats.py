@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bitstring import BitString, hamming_distance
+from .bitstring import BitString
 from .exact import ExactDistribution
 from .errors import UsageError
 from .extractors import xor_offset
@@ -24,7 +24,6 @@ __all__ = [
     "chi2_uniformity",
     "borel_normality",
     "correlation_estimate",
-    "exor_rate",
     "estimate_theta",
     "empirical_distribution",
 ]
@@ -143,17 +142,8 @@ def correlation_estimate(x: BitString, y: BitString) -> float:
     """(#equal - #different)/n over aligned positions; lies in [-1, 1]."""
     if len(x) != len(y) or len(x) == 0:
         raise UsageError("need equal-length non-empty strings")
-    d = hamming_distance(x, y)
+    d = xor_offset(x, y, 0).count(1)
     return (len(x) - 2 * d) / len(x)
-
-
-def exor_rate(x: BitString, y: BitString, j: int = 0) -> float:
-    """Fraction of ones in the offset-XOR of the two strings.
-
-    At j = 0 this equals (1 - correlation_estimate)/2 identically.
-    """
-    z = xor_offset(x, y, j)
-    return z.count(1) / len(z)
 
 
 def estimate_theta(x: BitString, y: BitString) -> ThetaEstimate:
@@ -169,7 +159,7 @@ def estimate_theta(x: BitString, y: BitString) -> ThetaEstimate:
     n = len(x)
     if n < 10_000:
         raise UsageError("need at least 10000 positions for a stable estimate")
-    rate = exor_rate(x, y, 0)
+    rate = xor_offset(x, y, 0).count(1) / n
     theta = math.asin(math.sqrt(min(max(rate, 0.0), 1.0)))
     return ThetaEstimate(theta, 1.0 / (2.0 * math.sqrt(n)), n, rate in (0.0, 1.0))
 

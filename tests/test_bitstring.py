@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrngkit import BitString, UsageError, hamming_distance
+from qrngkit import BitString, UsageError, xor_offset
 
 
 def test_text_round_trip():
@@ -13,24 +13,15 @@ def test_text_round_trip():
 
 def test_position_zero_is_leftmost():
     s = BitString("100")
-    assert s[0] == 1
-    assert s[1] == 0
-    assert s[2] == 0
+    assert s.to_array().tolist() == [1, 0, 0]
     assert s.value == 4
-
-
-def test_iterable_and_copy_constructors():
-    assert BitString([1, 0, 1]).to01() == "101"
-    assert BitString(()) == BitString("")
-    original = BitString("0110")
-    assert BitString(original) == original
 
 
 def test_rejects_non_bits():
     with pytest.raises(UsageError):
         BitString("01a")
-    with pytest.raises(UsageError):
-        BitString([0, 2, 1])
+    with pytest.raises(UsageError):  # text only: arrays go through from_array
+        BitString([0, 1])
 
 
 def test_from_index_zero_extends():
@@ -40,18 +31,6 @@ def test_from_index_zero_extends():
         BitString.from_index(16, 4)
     with pytest.raises(UsageError):
         BitString.from_index(-1, 4)
-
-
-def test_indexing_and_slicing():
-    s = BitString("0110101")
-    assert s[-1] == 1
-    assert s[-7] == 0
-    with pytest.raises(IndexError):
-        s[7]
-    assert s[1:4] == BitString("110")
-    assert s[::2] == BitString("0111")
-    assert s[4:2] == BitString("")
-    assert list(s) == [0, 1, 1, 0, 1, 0, 1]
 
 
 def test_count():
@@ -64,9 +43,9 @@ def test_count():
 
 
 def test_xor_and_concat():
-    assert (BitString("1010") ^ BitString("0110")).to01() == "1100"
+    assert xor_offset(BitString("1010"), BitString("0110"), 0).to01() == "1100"
     with pytest.raises(UsageError):
-        BitString("10") ^ BitString("100")
+        xor_offset(BitString("10"), BitString("100"), 0)
     assert (BitString("10") + BitString("011")).to01() == "10011"
     assert (BitString("") + BitString("1")).to01() == "1"
 
@@ -76,12 +55,6 @@ def test_equality_and_hashing():
     assert BitString("001") != BitString("1")
     table = {BitString("01"): "a"}
     assert table[BitString("01")] == "a"
-
-
-def test_zeros():
-    z = BitString.zeros(5)
-    assert z.to01() == "00000"
-    assert z.count(1) == 0
 
 
 def test_array_round_trip():
@@ -111,16 +84,8 @@ def test_array_round_trip_randomized():
         assert s == BitString(s.to01())
 
 
-def test_hamming_distance():
-    assert hamming_distance(BitString("0101"), BitString("0101")) == 0
-    assert hamming_distance(BitString("0101"), BitString("1010")) == 4
-    assert hamming_distance(BitString("1100"), BitString("1001")) == 2
-    with pytest.raises(UsageError):
-        hamming_distance(BitString("01"), BitString("011"))
-
-
 def test_repr_truncates_long_strings():
     short = BitString("01")
     assert "01" in repr(short)
-    long = BitString.zeros(1000)
+    long = BitString("0" * 1000)
     assert "len=1000" in repr(long)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import coin_flips
 from qrngkit import (
@@ -14,7 +16,6 @@ from qrngkit import (
     correlation_estimate,
     empirical_distribution,
     estimate_theta,
-    exor_rate,
     sample_pairs,
     tv_distance,
     von_neumann,
@@ -56,21 +57,21 @@ def test_chi2_perfectly_balanced_stream():
 
 
 def test_chi2_rejects_a_constant_stream():
-    r = chi2_uniformity(BitString.zeros(10_000), 1)
+    r = chi2_uniformity(BitString("0" * 10_000), 1)
     assert not r.passed
     assert r.p_value < 1e-10
 
 
 def test_chi2_relabel_invariance():
     z = bs(coin_flips(key=97, n=20_000))
-    flipped = z ^ BitString("1" * len(z))
+    flipped = BitString.from_array(1 - z.to_array())
     for k in (1, 2, 3):
         assert chi2_uniformity(z, k).statistic == chi2_uniformity(flipped, k).statistic
 
 
 def test_chi2_p_value_decreases_with_imbalance():
-    mild = BitString.zeros(210) + BitString("01" * 95)
-    harsh = BitString.zeros(300) + BitString("01" * 50)
+    mild = BitString("0" * 210) + BitString("01" * 95)
+    harsh = BitString("0" * 300) + BitString("01" * 50)
     assert chi2_uniformity(harsh, 1).p_value < chi2_uniformity(mild, 1).p_value
 
 
@@ -111,7 +112,7 @@ def test_borel_report_shape():
 
 
 def test_borel_constant_stream_fails():
-    reports = borel_normality(BitString.zeros(1024))
+    reports = borel_normality(BitString("0" * 1024))
     assert not reports[0].passed
     assert reports[0].statistic == 0.5
 
@@ -132,25 +133,20 @@ def test_borel_alternating_stream_fails_at_width_two():
 def test_correlation_identities():
     x = bs(coin_flips(key=96, n=5001))
     assert correlation_estimate(x, x) == 1.0
-    assert correlation_estimate(x, x ^ BitString("1" * len(x))) == -1.0
+    assert correlation_estimate(x, BitString.from_array(1 - x.to_array())) == -1.0
     with pytest.raises(UsageError):
         correlation_estimate(x, BitString("01"))
     with pytest.raises(UsageError):
         correlation_estimate(BitString(""), BitString(""))
 
 
-def test_exor_rate_matches_correlation():
-    rng = np.random.default_rng(95)
-    for _ in range(10):
-        n = int(rng.integers(10, 400))
-        x = bs(rng.integers(0, 2, n))
-        y = bs(rng.integers(0, 2, n))
-        assert exor_rate(x, y, 0) == (1.0 - correlation_estimate(x, y)) / 2.0
-
-
-def test_exor_rate_with_offset():
-    # pairs (x0,y1) (x1,y2) (x2,y3) = (1,0) (1,1) (0,0) -> one disagreement
-    assert exor_rate(BitString("1100"), BitString("0010"), 1) == pytest.approx(1 / 3)
+@given(st.integers(1, 400), st.integers(0, 2**32))
+def test_correlation_counts_the_disagreements(n, seed):
+    rng = np.random.default_rng(seed)
+    x = bs(rng.integers(0, 2, n))
+    y = bs(rng.integers(0, 2, n))
+    d = np.count_nonzero(x.to_array() != y.to_array())
+    assert correlation_estimate(x, y) == (n - 2 * d) / n
 
 
 def test_quarter_pi_streams_are_uncorrelated():
@@ -162,7 +158,8 @@ def test_quarter_pi_streams_are_uncorrelated():
 def test_disagreement_rate_tracks_the_angle():
     theta = math.pi / 8
     s = sample_pairs(1_000_000, QrngConfig(theta=theta), seed=41).records
-    rate = exor_rate(s.plus_string(), s.times_string())
+    z = xor_offset(s.plus_string(), s.times_string(), 0)
+    rate = z.count(1) / len(z)
     assert rate == pytest.approx(math.sin(theta) ** 2, abs=3 * 0.5 / 1000.0)
 
 
@@ -170,8 +167,7 @@ def test_disagreement_rate_tracks_the_angle():
 
 
 def test_estimate_theta_exact_cases():
-    half = BitString.zeros(10_000) ^ BitString("01" * 5_000)
-    est = estimate_theta(BitString.zeros(10_000), half)
+    est = estimate_theta(BitString("0" * 10_000), BitString("01" * 5_000))
     assert est.theta == pytest.approx(math.pi / 4, abs=1e-12)
     assert est.stderr == 1.0 / (2.0 * 100.0)
     assert not est.at_boundary
@@ -184,24 +180,24 @@ def test_estimate_theta_exact_cases():
 
 def test_estimate_theta_guards():
     with pytest.raises(UsageError):
-        estimate_theta(BitString.zeros(100), BitString.zeros(100))
+        estimate_theta(BitString("0" * 100), BitString("0" * 100))
     with pytest.raises(UsageError):
-        estimate_theta(BitString.zeros(10_000), BitString.zeros(10_001))
+        estimate_theta(BitString("0" * 10_000), BitString("0" * 10_001))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_estimate_theta_consistency(seed):
     theta = 0.6
     flips = coin_flips(key=seed, n=1_000_000, p=math.sin(theta) ** 2)
-    x = BitString.zeros(1_000_000)
-    small = estimate_theta(x[:10_000], bs(flips[:10_000]))
+    x = BitString("0" * 1_000_000)
+    small = estimate_theta(BitString("0" * 10_000), bs(flips[:10_000]))
     large = estimate_theta(x, bs(flips))
     assert abs(large.theta - theta) < abs(small.theta - theta)
     assert abs(large.theta - theta) < 3 * large.stderr
 
 
 def test_estimate_theta_to_dict():
-    d = estimate_theta(BitString.zeros(10_000), BitString.zeros(10_000)).to_dict()
+    d = estimate_theta(BitString("0" * 10_000), BitString("0" * 10_000)).to_dict()
     assert d["theta"] == 0.0 and d["at_boundary"] is True
 
 
