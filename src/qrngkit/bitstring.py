@@ -18,6 +18,14 @@ from .errors import UsageError
 __all__ = ["BitString"]
 
 
+def _as_bits(arr, what: str) -> np.ndarray:
+    """``arr`` as 1-d uint8, refusing any value but 0 and 1 before the cast could coerce it."""
+    arr = np.asarray(arr)
+    if arr.ndim != 1 or not ((arr == 0) | (arr == 1)).all():
+        raise UsageError(f"{what} must be a 1-d array of 0/1 values")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
 class BitString:
     """Immutable bit sequence, leftmost bit first.
 
@@ -49,12 +57,8 @@ class BitString:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitString":
-        """Build from a numpy array of 0/1 values (any integer dtype)."""
-        a = np.ascontiguousarray(arr, dtype=np.uint8)
-        if a.ndim != 1:
-            raise UsageError("bit array must be one-dimensional")
-        if a.size and a.max() > 1:
-            raise UsageError("bit array may contain only 0/1")
+        """Build from a numpy array of 0/1 values (any dtype)."""
+        a = _as_bits(arr, "a bit array")
         packed = np.packbits(a)  # big-endian within each byte, zero-padded at the end
         val = int.from_bytes(packed.tobytes(), "big") >> (packed.size * 8 - a.size)
         return cls.from_index(val, a.size)

@@ -355,10 +355,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_demon_demo(args) -> int:
     _check_n(args.n)
+    k = demon_modulus(args.rho)
     rng = _generator(args.seed, 0)  # Philox key [seed, 0] draws as the bare key seed
     source = BitString.from_array((rng.random(args.n) < 0.5).astype(np.uint8))
     sieved = demon_filter(source, args.rho)
-    k = demon_modulus(args.rho)
     forced = sieved.to_array()[k - 1 :: k]
     results = {
         "k": k,

@@ -12,9 +12,10 @@ and double counting stage 1. The draw order is part of the contract:
 * double counting: one uniform per record except the last.
 
 `run_pipeline` chains the configured imperfections in fixed order: sampling,
-double counting, dead-time filtering, demon filtering.
-The demon acts on the offset-0 XOR bit of each record, so rejected bits drop
-whole records.
+double counting, dead-time filtering, demon filtering. Each stage after sampling
+returns only its decision, a new times column or the indices it keeps, and
+`run_pipeline` gathers the columns once into the one result stream. The demon
+acts on the offset-0 XOR bit of each record, so rejected bits drop whole records.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class SimulationResult:
 
 
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
-PAIR_CAP = 2**25  # a run peaks at 30-41 B per pair, so at most about 1.4 GB
+PAIR_CAP = 2**25  # a run peaks at 30-38 B per pair, so at most about 1.3 GB
 _CHUNK = 1 << 14  # rows per step of both samplers and per tolist() in _scalars
 
 
@@ -128,9 +129,7 @@ def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
         np.greater_equal(x, c0, out=cell[rows])
         cell[rows] += x >= c1
         cell[rows] += x >= c2
-    a = cell >> 1
-    b = cell & 1
-    return SimulationResult(PairStream(times, a, b), n, 0, 0, 0, seed)
+    return SimulationResult(PairStream(times, cell >> 1, cell & 1), n, 0, 0, 0, seed)
 
 
 def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
@@ -159,24 +158,23 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     return SimulationResult(stream, n, n - len(stream), 0, 0, seed)
 
 
-def apply_double_counting(stream: PairStream, p_dc: float, seed: int) -> PairStream:
-    """Replace each times outcome by the next record's, with probability p_dc.
+def apply_double_counting(b: np.ndarray, p_dc: float, seed: int) -> np.ndarray:
+    """Times column ``b`` with each outcome replaced by the next record's, with probability p_dc.
 
     Models a detector pairing a photon with one from the following pair. The
     substituted values are the original neighbours (no cascading), the last
-    record has no neighbour and is never touched, and the stream length is
-    preserved. The swap uniforms come from stage 1 of ``seed``, so they never
-    repeat the sampling draws of any seed.
+    record has no neighbour and is never touched, and the length is preserved.
+    The swap uniforms come from stage 1 of ``seed``, so they never repeat the
+    sampling draws of any seed.
     """
     if not 0.0 <= p_dc <= 1.0:
         raise UsageError("double-count probability must lie in [0, 1]")
-    if p_dc == 0.0 or len(stream) <= 1:
-        return stream
-    rng = _generator(seed, _DOUBLE_COUNTING)
-    swap = rng.random(len(stream) - 1) < p_dc
-    b = stream.b.copy()
-    b[:-1][swap] = stream.b[1:][swap]
-    return PairStream(stream.t, stream.a, b)
+    if p_dc == 0.0 or len(b) <= 1:
+        return b
+    swap = _generator(seed, _DOUBLE_COUNTING).random(len(b) - 1) < p_dc
+    out = b.copy()
+    out[:-1][swap] = b[1:][swap]
+    return out
 
 
 def _scalars(*columns):
@@ -185,21 +183,18 @@ def _scalars(*columns):
         yield from zip(*(c[lo : lo + _CHUNK].tolist() for c in columns))
 
 
-def dead_time_filter(stream: PairStream, T_d: float) -> PairStream:
-    """Drop records closer than T_d to the previously kept record.
+def dead_time_filter(t: np.ndarray, T_d: float) -> np.ndarray:
+    """Indices of the records at times ``t`` that survive a dead time T_d.
 
-    Comparisons are against the last *kept* time, which makes the filter
-    idempotent; the first record is always kept.
+    A record closer than T_d to the last *kept* one is dropped, which makes the
+    filter idempotent; the first record is always kept.
     """
     if T_d < 0:
         raise UsageError("dead time must be non-negative")
-    if T_d == 0.0 or len(stream) <= 1:
-        return stream
-    t = stream.t
     # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1]
     # in floats too); a gap <= T_d after a kept record drops it. The rest follow
     # a dropped record and loop, in runs that each start 2 after a kept record.
-    keep = np.ones(len(stream), dtype=bool)
+    keep = np.ones(len(t), dtype=bool)
     keep[1:] = np.diff(t) > T_d
     chained = np.flatnonzero(~keep[1:-1] & ~keep[2:]) + 2
     run_start = np.diff(chained, prepend=-1) != 1
@@ -209,7 +204,7 @@ def dead_time_filter(stream: PairStream, T_d: float) -> PairStream:
         if ti - last > T_d:
             last = ti
             keep[i] = True
-    return PairStream(t[keep], stream.a[keep], stream.b[keep])
+    return np.flatnonzero(keep)
 
 
 def demon_modulus(rho: float) -> int:
@@ -261,20 +256,16 @@ def demon_filter(bits: BitString, rho: float) -> BitString:
     ends there.
     """
     arr = bits.to_array()
-    kept = _demon_kept_indices(arr, rho)
-    return BitString.from_array(arr[kept])
+    return BitString.from_array(arr[_demon_kept_indices(arr, rho)])
 
 
-def run_pipeline(
-    n: int, cfg: QrngConfig, seed: int, mode: str = "ideal"
-) -> SimulationResult:
+def run_pipeline(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal") -> SimulationResult:
     """Generate n raw pairs and push them through the configured transforms.
 
-    Stages run in a fixed order: sampling (ideal or physical), double
-    counting when cfg.double_count_prob > 0, dead-time filtering when
-    cfg.dead_time_Td > 0, then the demon when cfg.demon_rho is set. The demon
-    consumes the stream's offset-0 XOR bits, so a rejected bit removes its
-    whole record.
+    Stages run in a fixed order, each only when it is on: sampling (ideal or
+    physical), double counting when cfg.double_count_prob > 0, dead-time
+    filtering when cfg.dead_time_Td > 0, then the demon when cfg.demon_rho is
+    set. The demon reads the XOR bits of the records dead time kept.
     """
     if mode == "ideal":
         result = sample_pairs(n, cfg, seed)
@@ -282,14 +273,20 @@ def run_pipeline(
         result = sample_pairs_physical(n, cfg, seed)
     else:
         raise UsageError(f"unknown simulation mode {mode!r}")
-    stream = apply_double_counting(result.records, cfg.double_count_prob, seed)
-    stream = dead_time_filter(stream, cfg.dead_time_Td)
-    dropped_dead = len(result.records) - len(stream)  # double counting keeps the length
-    dropped_demon = 0
-    if cfg.demon_rho is not None and len(stream):
-        kept = _demon_kept_indices(stream.a ^ stream.b, cfg.demon_rho)
-        dropped_demon = len(stream) - kept.size
-        stream = PairStream(stream.t[kept], stream.a[kept], stream.b[kept])
-    return SimulationResult(
-        stream, n, result.dropped_undetected, dropped_dead, dropped_demon, seed
-    )
+    t, a, b = result.records.t, result.records.a, result.records.b
+    if cfg.double_count_prob > 0:
+        b = apply_double_counting(b, cfg.double_count_prob, seed)
+    kept, dropped_dead, dropped_demon = None, 0, 0
+    if cfg.dead_time_Td > 0:
+        kept = dead_time_filter(t, cfg.dead_time_Td)
+        dropped_dead = len(t) - kept.size
+    if cfg.demon_rho is not None:
+        z = a ^ b if kept is None else (a ^ b)[kept]
+        survivors = _demon_kept_indices(z, cfg.demon_rho)
+        dropped_demon = z.size - survivors.size
+        kept = survivors if kept is None else kept[survivors]
+    if kept is not None:
+        t, a, b = t[kept], a[kept], b[kept]
+    # a swap or a gather made new columns; else the sampled stream passes through
+    stream = result.records if b is result.records.b else PairStream(t, a, b)
+    return SimulationResult(stream, n, result.dropped_undetected, dropped_dead, dropped_demon, seed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstring import BitString
+from .bitstring import BitString, _as_bits
 from .errors import UsageError
 
 __all__ = ["PairStream"]
@@ -22,16 +22,13 @@ class PairStream:
 
     def __init__(self, t: np.ndarray, a: np.ndarray, b: np.ndarray):
         t = np.ascontiguousarray(t, dtype=np.float64)
-        a = np.ascontiguousarray(a, dtype=np.uint8)
-        b = np.ascontiguousarray(b, dtype=np.uint8)
-        if not (t.ndim == a.ndim == b.ndim == 1) or not (t.size == a.size == b.size):
+        a, b = (_as_bits(c, "outcome columns") for c in (a, b))
+        if t.ndim != 1 or not (t.size == a.size == b.size):
             raise UsageError("stream columns must be 1-d and equally long")
         if not np.isfinite(t).all():
             raise UsageError("record times must be finite")
         if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
             raise UsageError("record times must be non-negative and strictly increasing")
-        if a.size and (a.max() > 1 or b.max() > 1):
-            raise UsageError("outcomes must be bits")
         self.t = t
         self.a = a
         self.b = b

@@ -38,6 +38,18 @@ def coin_flips(key: int, n: int, p: float = 0.5) -> np.ndarray:
     return (rng.random(n) < p).astype(np.uint8)
 
 
+def double_count_loop(b, p_dc, seed) -> np.ndarray:
+    """The times column after per-record swaps drawn from Philox key [seed, 1], the
+    oracle for apply_double_counting."""
+    u = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    u = u.random(max(len(b) - 1, 0))
+    out = np.array(b, dtype=np.uint8)
+    for i in range(len(b) - 1):
+        if u[i] < p_dc:
+            out[i] = b[i + 1]
+    return out
+
+
 def dead_time_keep_loop(t, T_d) -> np.ndarray:
     """Keep mask of the per-record dead-time rule, the oracle for dead_time_filter."""
     keep = np.zeros(len(t), dtype=bool)
@@ -129,6 +141,10 @@ def read_stream_per_line(path) -> PairStream:
     _, t, a, b = zip(*records) if records else ((), (), (), ())
     return PairStream(np.array(t, dtype=np.float64), np.array(a), np.array(b))
 
+
+# Outcome arrays a uint8 cast would coerce to bits (01, 01 and 1); every array
+# way into BitString or PairStream refuses them instead.
+NON_BIT_ARRAYS = [[256, 1], [0.7, 1.2], [-255]]
 
 # Files each defect of which ends in InputFormatError (CLI exit 4), never in a
 # TypeError, a UnicodeDecodeError or a silently coerced value.

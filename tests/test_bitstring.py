@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import NON_BIT_ARRAYS
 from qrngkit import BitString, UsageError, xor_offset
 
 
@@ -72,6 +73,12 @@ def test_from_array_rejects_bad_input():
         BitString.from_array(np.array([0, 1, 2], dtype=np.uint8))
     with pytest.raises(UsageError):
         BitString.from_array(np.zeros((2, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("values", NON_BIT_ARRAYS)
+def test_from_array_refuses_values_a_cast_would_coerce(values):
+    with pytest.raises(UsageError, match="0/1 values"):
+        BitString.from_array(np.array(values))
 
 
 def test_array_round_trip_randomized():

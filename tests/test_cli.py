@@ -493,6 +493,16 @@ def test_demon_demo_draws_the_coins_of_the_bare_seed_key(tmp_path):
     assert read_bits(tmp_path / "sieved.bits") == demon_filter(BitString.from_array(source), 0.5)
 
 
+@pytest.mark.parametrize("rho", ["1.5", "nan"])
+def test_demon_demo_refuses_its_budget_before_drawing(tmp_path, monkeypatch, capsys, rho):
+    def no_draw(*args):
+        raise AssertionError("coins drawn for a budget that is refused")
+
+    monkeypatch.setattr("qrngkit.cli._generator", no_draw)
+    assert run_cli("demon-demo", "--rho", rho, "--n", "3e7", "--out-dir", tmp_path / "out") == 2
+    assert "demon efficiency budget" in capsys.readouterr().err
+
+
 # --- shared flag handling ------------------------------------------------------------
 
 
@@ -590,6 +600,9 @@ HOSTILE_ARGV = [
     *[(argv, 2) for argv in CONFLICTING_SOURCES],
     ("demon-demo --seed -1", 2),
     ("demon-demo --n 1e13", 3),
+    # the budget is refused before the coins are drawn
+    ("demon-demo --rho 1.5", 2),
+    ("demon-demo --rho nan", 2),
     *[("exact --n 2 --config {cfg%d}" % i, 4) for i in range(len(BAD_CONFIG_TEXTS))],
 ]
 

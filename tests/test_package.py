@@ -1,7 +1,12 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import qrngkit
 from qrngkit import bitstring, config, errors, exact, extractors, fileio, simulate, stats, streams
 
 MODULES = (bitstring, config, errors, exact, extractors, fileio, simulate, stats, streams)
+BENCH_RUN = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
 
 
 def test_package_exports_exactly_its_modules_public_names():
@@ -13,3 +18,23 @@ def test_package_exports_exactly_its_modules_public_names():
         for name in module.__all__:
             assert getattr(qrngkit, name) is getattr(module, name), f"{module.__name__}.{name}"
 
+
+def test_every_name_the_benchmark_traces_is_a_callable(monkeypatch):
+    # a renamed or deleted name would otherwise break the harness only when it runs
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness puts its own folder first
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+
+    class Recorder:
+        def __init__(self):
+            self.wrapped = []
+
+        def wrap(self, module, attr, name, count=None):
+            self.wrapped.append((module, attr, name))
+
+    recorder = Recorder()
+    run.install_wraps(recorder)
+    assert recorder.wrapped
+    for module, attr, name in recorder.wrapped:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} (span {name})"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 from helpers import (
     chi2_against,
     coin_flips,
+    NON_BIT_ARRAYS,
     dead_time_keep_loop,
     demon_kept_loop,
+    double_count_loop,
+    random_configs,
     sample_pairs_physical_stacked,
     sample_pairs_stacked,
 )
@@ -31,6 +35,7 @@ from qrngkit import (
     sample_pairs,
     sample_pairs_physical,
 )
+from qrngkit import simulate
 from qrngkit.simulate import _CHUNK, _demon_kept_indices, _generator
 
 
@@ -58,6 +63,15 @@ def test_stream_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(UsageError, match="finite"):
             PairStream(np.array([0.0, 1.0, bad]), z, z)
+
+
+@pytest.mark.parametrize("values", NON_BIT_ARRAYS)
+@pytest.mark.parametrize("column", ["a", "b"])
+def test_stream_refuses_outcomes_a_cast_would_coerce(values, column):
+    bits = np.zeros(len(values), np.uint8)
+    cols = {"a": bits, "b": bits, column: np.array(values)}
+    with pytest.raises(UsageError, match="outcome columns must be"):
+        PairStream(np.arange(float(len(values))), cols["a"], cols["b"])
 
 
 def test_stream_access():
@@ -199,84 +213,83 @@ def test_physical_mode_conditioned_law_matches_ideal(skewed_cfg):
 
 
 def test_double_counting_zero_probability_is_identity(skewed_cfg):
-    s = sample_pairs(1_000, skewed_cfg, seed=8).records
-    assert apply_double_counting(s, 0.0, seed=9) == s
+    b = sample_pairs(1_000, skewed_cfg, seed=8).records.b
+    assert apply_double_counting(b, 0.0, seed=9) is b
 
 
 def test_double_counting_certain_swap_shifts_neighbours():
     cfg = QrngConfig(theta=0.0)
     s = sample_pairs(4_000, cfg, seed=10).records
-    swapped = apply_double_counting(s, 1.0, seed=11)
-    assert len(swapped) == len(s)
-    assert np.array_equal(swapped.t, s.t)
-    assert np.array_equal(swapped.a, s.a)
-    assert np.array_equal(swapped.b[:-1], s.b[1:])  # originals, not cascaded
-    assert swapped.b[-1] == s.b[-1]
+    before = s.b.copy()
+    b = apply_double_counting(s.b, 1.0, seed=11)
+    assert np.array_equal(s.b, before)  # the input column is left alone
+    assert b.dtype == np.uint8 and len(b) == len(s)
+    assert np.array_equal(b[:-1], s.b[1:])  # originals, not cascaded
+    assert b[-1] == s.b[-1]
     # with aligned contexts the XOR bits become neighbour parities
-    z = swapped.a ^ swapped.b
+    z = s.a ^ b
     assert np.array_equal(z[:-1], s.a[:-1] ^ s.a[1:])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1_000])
+@pytest.mark.parametrize("p_dc", [0.0, 0.05, 0.5, 1.0])
+def test_double_counting_matches_the_per_record_loop(n, p_dc):
+    b = coin_flips(44, n)
+    for seed in (0, 7, 2**64 - 1):
+        assert np.array_equal(apply_double_counting(b, p_dc, seed), double_count_loop(b, p_dc, seed))
 
 
 def test_double_counting_leaves_xor_bias_alone(aligned_cfg):
     s = sample_pairs(1_000_000, aligned_cfg, seed=12).records
-    noisy = apply_double_counting(s, 0.1, seed=13)
-    rate = (noisy.a ^ noisy.b).mean()
+    rate = (s.a ^ apply_double_counting(s.b, 0.1, seed=13)).mean()
     assert abs(rate - 0.5) < 3 / (2 * math.sqrt(len(s)))
 
 
 def test_double_counting_validates_probability(skewed_cfg):
-    s = sample_pairs(10, skewed_cfg, seed=14).records
+    b = sample_pairs(10, skewed_cfg, seed=14).records.b
     with pytest.raises(UsageError):
-        apply_double_counting(s, 1.5, seed=0)
+        apply_double_counting(b, 1.5, seed=0)
 
 
 # --- dead time ------------------------------------------------------------------------
 
 
-def stream_at(times):
-    n = len(times)
-    return PairStream(np.array(times, dtype=float), np.zeros(n, np.uint8), np.zeros(n, np.uint8))
-
-
 def test_dead_time_zero_is_identity():
-    s = stream_at([0.0, 0.1, 0.2])
-    assert dead_time_filter(s, 0.0) == s
+    assert np.array_equal(dead_time_filter(np.array([0.0, 0.1, 0.2]), 0.0), [0, 1, 2])
 
 
 def test_dead_time_basic_rule():
-    s = stream_at([0.0, 0.5, 2.0])
-    assert list(dead_time_filter(s, 1.0).t) == [0.0, 2.0]
+    assert np.array_equal(dead_time_filter(np.array([0.0, 0.5, 2.0]), 1.0), [0, 2])
 
 
 def test_dead_time_compares_against_kept_record():
     # 0.6 is dropped, and 1.3 is then measured against 0.0, not against 0.6
-    s = stream_at([0.0, 0.6, 1.3])
-    assert list(dead_time_filter(s, 1.0).t) == [0.0, 1.3]
+    assert np.array_equal(dead_time_filter(np.array([0.0, 0.6, 1.3]), 1.0), [0, 2])
 
 
 def test_dead_time_idempotent():
     cfg = QrngConfig(mean_pair_interval=1.0)
-    s = sample_pairs(50_000, cfg, seed=15).records
-    once = dead_time_filter(s, 0.5)
-    assert dead_time_filter(once, 0.5) == once
-    assert len(once) < len(s)
+    t = sample_pairs(50_000, cfg, seed=15).records.t
+    once = t[dead_time_filter(t, 0.5)]
+    assert np.array_equal(dead_time_filter(once, 0.5), np.arange(len(once)))
+    assert len(once) < len(t)
 
 
 def test_dead_time_rejects_negative():
     with pytest.raises(UsageError):
-        dead_time_filter(stream_at([0.0]), -1.0)
+        dead_time_filter(np.array([0.0]), -1.0)
 
 
-def random_stream(rng, n: int, dyadic: bool) -> PairStream:
-    """n records with exponential gaps, or gaps on the 1/8 grid where ties are exact."""
+def random_times(rng, n: int, dyadic: bool) -> np.ndarray:
+    """n times with exponential gaps, or gaps on the 1/8 grid where ties are exact."""
     gaps = rng.integers(1, 12, n) / 8 if dyadic else rng.exponential(rng.uniform(0.05, 2.0), n)
-    a, b = rng.integers(0, 2, (2, n), dtype=np.uint8)
-    return PairStream(np.cumsum(gaps), a, b)
+    return np.cumsum(gaps)
 
 
-def assert_dead_time_matches_loop(s: PairStream, T_d: float):
-    keep = dead_time_keep_loop(s.t, T_d)
-    assert dead_time_filter(s, T_d) == PairStream(s.t[keep], s.a[keep], s.b[keep])
+def assert_dead_time_matches_loop(t: np.ndarray, T_d: float):
+    kept = dead_time_filter(t, T_d)
+    assert kept.dtype == np.intp
+    assert np.array_equal(kept, np.flatnonzero(dead_time_keep_loop(t, T_d)))
 
 
 # 0.25, 0.5 and 1.5 put t[i] - last == T_d exactly on the dyadic grid
@@ -284,9 +297,10 @@ def assert_dead_time_matches_loop(s: PairStream, T_d: float):
 def test_dead_time_matches_the_per_record_loop(T_d):
     rng = np.random.default_rng(40)
     for trial in range(600):
-        s = random_stream(rng, int(rng.integers(0, 40)), dyadic=trial % 2 == 1)
-        assert_dead_time_matches_loop(s, T_d)
-    assert_dead_time_matches_loop(random_stream(rng, 50_000, dyadic=False), T_d)
+        assert_dead_time_matches_loop(
+            random_times(rng, int(rng.integers(0, 40)), dyadic=trial % 2 == 1), T_d
+        )
+    assert_dead_time_matches_loop(random_times(rng, 50_000, dyadic=False), T_d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,11 +310,7 @@ def test_dead_time_matches_the_per_record_loop(T_d):
     st.one_of(st.sampled_from([0.125, 0.25, 1.0, math.inf]), st.floats(0.0, 5.0)),
 )
 def test_dead_time_property(gaps, T_d):
-    n = len(gaps)
-    t = np.cumsum(np.asarray(gaps, dtype=float))
-    assert_dead_time_matches_loop(
-        PairStream(t, np.arange(n, dtype=np.uint8) & 1, np.zeros(n, np.uint8)), T_d
-    )
+    assert_dead_time_matches_loop(np.cumsum(np.asarray(gaps, dtype=float)), T_d)
 
 
 # --- demon -----------------------------------------------------------------------------
@@ -400,7 +410,7 @@ def test_demon_property(bits, rho):
 
 
 def test_result_counters_must_reconcile():
-    s = stream_at([0.0, 1.0])
+    s = PairStream(np.array([0.0, 1.0]), np.zeros(2, np.uint8), np.zeros(2, np.uint8))
     with pytest.raises(UsageError):
         SimulationResult(s, generated=5, dropped_undetected=1, dropped_dead_time=0,
                          dropped_demon=0, seed=0)
@@ -430,6 +440,95 @@ def test_pipeline_applies_all_stages():
     assert not z[1::2].any()
     gaps = np.diff(r.records.t)
     assert gaps.min() > 0.3
+
+
+def pipeline_from_oracles(n, cfg, seed, mode):
+    """The stream and drop counts of run_pipeline rebuilt from the per-stage oracles."""
+    sampler = sample_pairs_stacked if mode == "ideal" else sample_pairs_physical_stacked
+    s = sampler(n, cfg, seed)
+    b = double_count_loop(s.b, cfg.double_count_prob, seed)
+    keep = dead_time_keep_loop(s.t, cfg.dead_time_Td)
+    t, a, b = s.t[keep], s.a[keep], b[keep]
+    kept = demon_kept_loop(a ^ b, cfg.demon_rho)
+    stream = PairStream(t[kept], a[kept], b[kept])
+    return stream, (n - len(s), len(s) - len(t), len(t) - kept.size)
+
+
+def imperfect_configs(count, seed):
+    """random_configs with drift, double counting, dead time and the demon all on."""
+    rng = np.random.default_rng(seed)
+    for cfg in random_configs(count, seed):
+        amps = tuple(0.5 * min(e, 1.0 - e) for e in cfg.efficiencies)
+        yield dataclasses.replace(
+            cfg,
+            drift=DriftSpec(amps, float(rng.uniform(50.0, 5000.0))),
+            double_count_prob=float(rng.uniform(0.01, 0.5)),
+            dead_time_Td=float(rng.uniform(0.05, 1.5)),
+            demon_rho=float(rng.uniform(0.05, 0.95)),
+        )
+
+
+@pytest.mark.parametrize("mode", ["ideal", "physical"])
+@pytest.mark.parametrize("cfg_index", range(3))
+def test_pipeline_equals_the_composed_oracles(mode, cfg_index):
+    cfg = list(imperfect_configs(3, 45))[cfg_index]
+    seed = 46 + cfg_index
+    n = _CHUNK + 123
+    r = run_pipeline(n, cfg, seed, mode=mode)
+    stream, drops = pipeline_from_oracles(n, cfg, seed, mode)
+    assert r.records == stream
+    assert (r.dropped_undetected, r.dropped_dead_time, r.dropped_demon) == drops
+    assert min(drops[1:]) > 0 and (mode == "ideal") == (drops[0] == 0)
+
+
+def test_pipeline_builds_one_stream_after_sampling(monkeypatch, skewed_cfg):
+    cfg = dataclasses.replace(skewed_cfg, double_count_prob=0.05, dead_time_Td=0.3, demon_rho=0.5)
+    expected = run_pipeline(20_000, cfg, seed=34)
+    sampled = sample_pairs(20_000, cfg, seed=34)
+    monkeypatch.setattr(simulate, "sample_pairs", lambda *args: sampled)
+    calls, built = [], []
+
+    def recorded(name):
+        stage = getattr(simulate, name)
+
+        def call(*args):
+            calls.append(name)
+            return stage(*args)
+
+        return call
+
+    for name in ("apply_double_counting", "dead_time_filter"):
+        monkeypatch.setattr(simulate, name, recorded(name))
+
+    class Spy(PairStream):
+        def __init__(self, *columns):
+            built.append(columns)
+            super().__init__(*columns)
+
+    monkeypatch.setattr(simulate, "PairStream", Spy)
+    r = run_pipeline(20_000, cfg, seed=34)
+    assert calls == ["apply_double_counting", "dead_time_filter"]
+    assert len(built) == 1
+    assert r.records == expected.records and r.counters() == expected.counters()
+
+
+@pytest.mark.parametrize("p_dc", [0.0, 0.05])
+def test_pipeline_without_filters_gathers_nothing(monkeypatch, skewed_cfg, p_dc):
+    cfg = dataclasses.replace(skewed_cfg, double_count_prob=p_dc)
+    sampled = sample_pairs(5_000, cfg, seed=35)
+    monkeypatch.setattr(simulate, "sample_pairs", lambda *args: sampled)
+
+    def no_call(*args):
+        raise AssertionError("a stage that is off ran")
+
+    monkeypatch.setattr(simulate, "dead_time_filter", no_call)
+    monkeypatch.setattr(simulate, "_demon_kept_indices", no_call)
+    if p_dc == 0.0:
+        monkeypatch.setattr(simulate, "apply_double_counting", no_call)
+    r = run_pipeline(5_000, cfg, seed=35)
+    assert r.records.t is sampled.records.t and r.records.a is sampled.records.a
+    assert (r.records is sampled.records) == (p_dc == 0.0)
+    assert r.dropped_dead_time == r.dropped_demon == 0
 
 
 def test_pipeline_deterministic(skewed_cfg):
