@@ -3,7 +3,9 @@
 Subcommands wire the exact engine, the simulator, the extractors and the
 test suite into file-based experiments. Every run writes a manifest.json
 echoing the full effective parameter set (seeds included), so any output can
-be regenerated from its manifest alone.
+be regenerated from its manifest alone. A subcommand only computes; main
+alone writes, after it returns. So the manifest lists exactly the files the
+run wrote, and a refused run creates no output directory.
 
 Exit codes: 0 success, 2 usage error, 3 resource budget exceeded, 4
 malformed input file.
@@ -129,23 +131,13 @@ def _refuse_unread(args, reason: str, *dests: str) -> None:
         raise UsageError(f"{' and '.join(given)} would be ignored: {reason}")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(args, params: dict, results: dict, outputs: list) -> None:
-    write_json(
-        Path(args.out_dir) / "manifest.json",
-        {"command": args.command, "params": params, "results": results, "outputs": sorted(outputs)},
-    )
-
-
 # --- subcommands -----------------------------------------------------------------
+# Each returns (params, results, artifacts, lines) and writes nothing: the
+# manifest's params and results, its files as {name: (writer, *data)} in write
+# order, and its stdout lines. main does every write.
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> tuple:
     cfg = _build_config(args)
     # the config fields the exact law does not model; each is falsy when unset
     unmodelled = [f for f in ("drift", "double_count_prob", "demon_rho") if getattr(cfg, f)]
@@ -154,22 +146,17 @@ def cmd_exact(args) -> int:
                          + " and ".join(f"config field {f}" for f in unmodelled))
     dist = xor_distribution_transfer(args.n, args.j, cfg, max_bits=args.max_bits)
     tv = tv_distance(dist, ExactDistribution.uniform(args.n))
-    out = _out_dir(args)
-    write_distribution_csv(out / "distribution.csv", dist)
-    write_deviation_csv(out / "deviation.csv", dist)
-    _write_manifest(
-        args,
+    lines = [f"tv_to_uniform {tv!r}"] if args.tv else []
+    return (
         {"n": args.n, "j": args.j, "max_bits": args.max_bits, "config": cfg.to_dict()},
         {"tv_to_uniform": tv, "l1_to_uniform": 2.0 * tv},
-        ["distribution.csv", "deviation.csv", "manifest.json"],
+        {"distribution.csv": (write_distribution_csv, dist),
+         "deviation.csv": (write_deviation_csv, dist)},
+        [*lines, f"wrote {Path(args.out_dir) / 'distribution.csv'}"],
     )
-    if args.tv:
-        print(f"tv_to_uniform {tv!r}")
-    print(f"wrote {out / 'distribution.csv'}")
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     cfg = _build_config(
         args,
         {
@@ -180,17 +167,13 @@ def cmd_simulate(args) -> int:
         },
     )
     result = run_pipeline(args.pairs, cfg, args.seed, mode=args.mode)
-    out = _out_dir(args)
-    write_stream_ndjson(out / "stream.ndjson", result.records)
-    _write_manifest(
-        args,
-        {"pairs": args.pairs, "seed": args.seed, "mode": args.mode, "config": cfg.to_dict()},
-        result.counters(),
-        ["stream.ndjson", "manifest.json"],
-    )
     c = result.counters()
-    print(f"kept {c['kept']} of {c['generated']} pairs -> {out / 'stream.ndjson'}")
-    return 0
+    return (
+        {"pairs": args.pairs, "seed": args.seed, "mode": args.mode, "config": cfg.to_dict()},
+        c,
+        {"stream.ndjson": (write_stream_ndjson, result.records)},
+        [f"kept {c['kept']} of {c['generated']} pairs -> {Path(args.out_dir) / 'stream.ndjson'}"],
+    )
 
 
 # extract's input flags by argparse dest, in the order the manifest lists them
@@ -219,7 +202,7 @@ def _extract_source(args):
     return given, tuple(read_bits(getattr(args, dest)) for dest in files)
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> tuple:
     for method, dest in (("xor", "j"), ("peres", "depth")):
         if args.method != method:
             _refuse_unread(args, f"only method {method} reads it", dest)
@@ -237,19 +220,14 @@ def cmd_extract(args) -> int:
     else:
         result = pair_von_neumann(*strings)
     bits = result.bits
-    out = _out_dir(args)
-    write_bits(out / "extracted.bits", bits, mode=args.format)
-    summary = {"in": result.consumed, "out": len(bits), "discarded": result.discarded,
-               "method": args.method, "params": params}
-    _write_manifest(
-        args,
+    return (
         {"method": args.method, "format": args.format,
          "inputs": [getattr(args, dest) for dest in given], **params},
-        summary,
-        ["extracted.bits", "manifest.json"],
+        {"in": result.consumed, "out": len(bits), "discarded": result.discarded,
+         "method": args.method, "params": params},
+        {"extracted.bits": (write_bits, bits, args.format)},
+        [f"{args.method}: {result.consumed} positions in, {len(bits)} bits out"],
     )
-    print(f"{args.method}: {result.consumed} positions in, {len(bits)} bits out")
-    return 0
 
 
 def _chi2_blocks(args, n_bits: int) -> list[int]:
@@ -261,7 +239,7 @@ def _chi2_blocks(args, n_bits: int) -> list[int]:
     return [k for k in range(1, 6) if k == 1 or n_bits >= 100 << k]
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple:
     tests = args.tests.split(",")
     unknown = set(tests) - {"chi2", "borel"}
     if unknown:
@@ -287,21 +265,19 @@ def cmd_analyze(args) -> int:
             reports.append(chi2_uniformity(bits, k, alpha=alpha))
     if "borel" in tests:
         reports.extend(borel_normality(bits))
-    out = _out_dir(args)
-    write_json(out / "reports.json", [r.to_dict() for r in reports])
-    write_reports_csv(out / "reports.csv", reports)
-    _write_manifest(
-        args,
+    lines = []
+    for r in reports:
+        p = "-" if r.p_value is None else f"{r.p_value:.6g}"
+        lines.append(f"{r.test_name} k={r.params.get('k')} stat={r.statistic:.6g} "
+                     f"p={p} {'pass' if r.passed else 'FAIL'}")
+    return (
         {"in": args.infile, "stream": args.stream, "tests": args.tests,
          "k": args.k, "alpha": alpha, "bits": len(bits)},
         results,
-        ["reports.json", "reports.csv", "manifest.json"],
+        {"reports.json": (write_json, [r.to_dict() for r in reports]),
+         "reports.csv": (write_reports_csv, reports)},
+        lines,
     )
-    for r in reports:
-        p = "-" if r.p_value is None else f"{r.p_value:.6g}"
-        print(f"{r.test_name} k={r.params.get('k')} stat={r.statistic:.6g} "
-              f"p={p} {'pass' if r.passed else 'FAIL'}")
-    return 0
 
 
 def _parse_grid(args) -> list[float]:
@@ -321,7 +297,7 @@ def _parse_grid(args) -> list[float]:
     return list(np.linspace(start, stop, count))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     if not args.empirical:
         _refuse_unread(args, "only --empirical draws pairs", "e", "config", "seed")
     seed = 0 if args.seed is None else args.seed
@@ -340,20 +316,16 @@ def cmd_sweep(args) -> int:
             z = stream.a ^ stream.b
             row.append(1.0 - float(z.mean()))
         rows.append(row)
-    out = _out_dir(args)
-    write_sweep_csv(out / "sweep.csv", rows)
-    _write_manifest(
-        args,
+    return (
         {"thetas": thetas, "empirical": args.empirical, "seed": seed,
          "config": cfg.to_dict()},
         {"points": len(rows)},
-        ["sweep.csv", "manifest.json"],
+        {"sweep.csv": (write_sweep_csv, rows)},
+        [f"wrote {Path(args.out_dir) / 'sweep.csv'} ({len(rows)} points)"],
     )
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} points)")
-    return 0
 
 
-def cmd_demon_demo(args) -> int:
+def cmd_demon_demo(args) -> tuple:
     _check_n(args.n)
     k = demon_modulus(args.rho)
     rng = _generator(args.seed, 0)  # Philox key [seed, 0] draws as the bare key seed
@@ -367,18 +339,13 @@ def cmd_demon_demo(args) -> int:
         "rejected_fraction": 1.0 - len(sieved) / len(source),
         "forced_slots_all_zero": bool(forced.size == 0 or not forced.any()),
     }
-    out = _out_dir(args)
-    write_bits(out / "source.bits", source)
-    write_bits(out / "sieved.bits", sieved)
-    _write_manifest(
-        args,
+    return (
         {"rho": args.rho, "n": args.n, "seed": args.seed},
         results,
-        ["source.bits", "sieved.bits", "manifest.json"],
+        {"source.bits": (write_bits, source), "sieved.bits": (write_bits, sieved)},
+        [f"k={k}: kept {len(sieved)} of {len(source)} bits "
+         f"(rejected {results['rejected_fraction']:.4f})"],
     )
-    print(f"k={k}: kept {len(sieved)} of {len(source)} bits "
-          f"(rejected {results['rejected_fraction']:.4f})")
-    return 0
 
 
 # --- parser ------------------------------------------------------------------------
@@ -461,12 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; only after it returns, create --out-dir and write its
+    artifacts in order, then manifest.json listing exactly those files, then stdout."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        params, results, artifacts, lines = args.func(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (writer, *data) in artifacts.items():
+            writer(out / name, *data)
+        manifest = "manifest.json"
+        write_json(out / manifest, {"command": args.command, "params": params, "results": results,
+                                    "outputs": sorted([*artifacts, manifest])})
+        for line in lines:
+            print(line)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

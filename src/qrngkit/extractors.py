@@ -2,8 +2,11 @@
 
 Every extractor exists in two forms: a one-shot function returning an
 ExtractionOutput (plain BitString for xor_offset), and a streaming class with
-feed()/finish() so unbounded inputs can be processed in chunks. Splitting the
-input differently never changes the concatenated output.
+feed()/finish() that takes its input in chunks. Splitting the input
+differently never changes the concatenated output. Between chunks the
+offset XOR carries at most j bits and the pair comparison one value; Peres
+holds the output of its deeper levels until finish(), so its memory grows
+with the input.
 
 Von Neumann, Peres and the pair comparison share one pairing core that works
 on uint8 arrays; their one-shot forms run the streaming classes, and von
@@ -139,9 +142,11 @@ class PeresExtractor(_Pairing):
     Level one emits the usual 01/10 bits as they appear. The pair parities
     feed one child extractor and the values of equal pairs feed another, each
     one level shallower; their output follows all level-one bits, so it is
-    held back until finish(). A child is built on its first non-empty input,
-    and each level gets at most half the bits of the one above, so only about
-    log2(n) levels ever exist whatever the depth. depth 1 is von Neumann.
+    held back until finish(). That is most of the output: at depth 4, 2e6
+    Bernoulli(0.7) bits fed in 1e4-bit chunks emit about 0.42e6 bits from
+    feed() and 0.75e6 from finish(). A child is built on its first non-empty
+    input, and each level gets at most half the bits of the one above, so only
+    about log2(n) levels ever exist whatever the depth. depth 1 is von Neumann.
     """
 
     def __init__(self, depth: int = 4):

@@ -97,6 +97,8 @@ def read_bits(path) -> BitString:
     packed = -(-n // 8)  # integer ceiling: n / 8 overflows a float for huge headers
     if len(payload) == packed:
         arr = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+        if arr[n:].any():
+            raise InputFormatError(f"{path}: nonzero padding after bit {n} of the packed payload")
         return BitString.from_array(arr[:n])
     raise InputFormatError(f"{path}: payload is neither {n} ascii bits nor {packed} packed bytes")
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bitstring import BitString
-from .exact import ExactDistribution
+from .exact import ExactDistribution, _check_dense
 from .errors import UsageError
 from .extractors import xor_offset
 
@@ -169,6 +169,7 @@ def empirical_distribution(values: np.ndarray, n: int) -> ExactDistribution:
     (each sample's `BitString.value`)."""
     if n < 1:
         raise UsageError("support length must be positive")
+    _check_dense(n)
     size = 1 << n
     values = np.asarray(values).astype(np.int64, copy=False)
     if values.size == 0:

@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,7 +395,6 @@ def test_analyze_malformed_bit_file_exit_code(tmp_path):
     bad.write_bytes(b"#bits=+4\n0110\n")  # a signed count
     assert run_cli("analyze", "--in", bad, "--out-dir", tmp_path) == 4
 
-
 def test_analyze_malformed_stream_exit_code(tmp_path):
     bad = tmp_path / "bad.ndjson"
     bad.write_text('{"t":0.1,"a":1}\n')
@@ -604,13 +606,17 @@ HOSTILE_ARGV = [
     ("demon-demo --rho 1.5", 2),
     ("demon-demo --rho nan", 2),
     *[("exact --n 2 --config {cfg%d}" % i, 4) for i in range(len(BAD_CONFIG_TEXTS))],
+    # bits 3..7 of the packed byte are padding, which must be zero
+    ("extract --method vn --in {padded}", 4),
 ]
 
 
 def _hostile_files(tmp_path):
     bits = BitString("00011011")
-    files = {"bits": tmp_path / "in.bits", "stream": tmp_path / "in.ndjson"}
+    files = {"bits": tmp_path / "in.bits", "stream": tmp_path / "in.ndjson",
+             "padded": tmp_path / "padded.bits"}
     write_bits(files["bits"], bits)
+    files["padded"].write_bytes(b"#bits=3\n\xff")
     write_stream_ndjson(files["stream"], PairStream(np.arange(8.0), bits.to_array(), bits.to_array()))
     for i, text in enumerate(BAD_CONFIG_TEXTS):
         files[f"cfg{i}"] = tmp_path / f"bad{i}.json"
@@ -711,5 +717,33 @@ def test_any_documented_argv_ends_in_a_documented_exit_code(tmp_path, capsys, ar
     files["bad_config"].write_bytes(BAD_CONFIG_TEXTS[0])
     files["dir"].mkdir(exist_ok=True)
     argv = [part.format(**files) for part in argv]
-    assert run_cli(*argv, "--out-dir", tmp_path / "out") in (0, 2, 3, 4)
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"  # fresh for each example
+    code = run_cli(*argv, "--out-dir", out)
+    assert code in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert sorted(os.listdir(out)) == read_manifest(out)["outputs"]
+
+
+def _readme_transcripts():
+    """Each `$ qrngkit ...` line of the README with the output lines that follow it."""
+    runs = []
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("$ qrngkit "):
+            runs.append((shlex.split(line)[2:], []))
+        elif line.startswith("```"):
+            runs.append(None)
+        elif runs and runs[-1] is not None:
+            runs[-1][1].append(line)
+    return [run for run in runs if run is not None]
+
+
+def test_readme_transcripts_match_the_cli(tmp_path, monkeypatch, capsys):
+    # in order, in one working directory: later commands read earlier out-dirs
+    monkeypatch.chdir(tmp_path)
+    transcripts = _readme_transcripts()
+    assert len(transcripts) == 6
+    for argv, expected in transcripts:
+        assert run_cli(*argv) == 0, argv
+        assert capsys.readouterr().out.splitlines() == expected, argv

@@ -88,6 +88,7 @@ def test_write_bits_rejects_unknown_mode(tmp_path):
         b"#bits= 4 \n0110\n",
         b"#bits=+4\n0110\n",
         b"#bits=-0\n",
+        b"#bits=3\n\xff",         # nonzero padding past bit 3 of the packed byte
     ],
 )
 def test_read_bits_rejects_malformed_files(tmp_path, raw):

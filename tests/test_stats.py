@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qrngkit import (
     BitString,
     DriftSpec,
     QrngConfig,
+    ResourceBudgetError,
     UsageError,
     borel_normality,
     chi2_uniformity,
@@ -294,6 +296,19 @@ def test_empirical_distribution_guards():
         empirical_distribution(np.zeros(0, dtype=np.int64), 3)
     with pytest.raises(UsageError):
         empirical_distribution(np.array([0]), 0)
+
+
+@pytest.mark.parametrize("n", [23, 64])
+def test_empirical_distribution_refuses_laws_past_the_dense_cap(n):
+    # 2^23 float64 cells would take 64 MB; the refusal comes before any of it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            empirical_distribution(np.array([0, 1, 2]), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_empirical_distribution_converges_to_exact_law(skewed_cfg):
