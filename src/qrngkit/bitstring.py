@@ -82,11 +82,6 @@ class BitString:
 
     # --- operators --------------------------------------------------------
 
-    def __add__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return BitString.from_index((self._val << other._len) | other._val, self._len + other._len)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitString)

@@ -171,7 +171,10 @@ def empirical_distribution(values: np.ndarray, n: int) -> ExactDistribution:
         raise UsageError("support length must be positive")
     _check_dense(n)
     size = 1 << n
-    values = np.asarray(values).astype(np.int64, copy=False)
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise UsageError(f"samples must be integer string values, got dtype {values.dtype}")
+    values = values.astype(np.int64, copy=False)
     if values.size == 0:
         raise UsageError("need at least one sample")
     if values.min() < 0 or values.max() >= size:

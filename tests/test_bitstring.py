@@ -47,8 +47,6 @@ def test_xor_and_concat():
     assert xor_offset(BitString("1010"), BitString("0110"), 0).to01() == "1100"
     with pytest.raises(UsageError):
         xor_offset(BitString("10"), BitString("100"), 0)
-    assert (BitString("10") + BitString("011")).to01() == "10011"
-    assert (BitString("") + BitString("1")).to01() == "1"
 
 
 def test_equality_and_hashing():

@@ -747,3 +747,17 @@ def test_readme_transcripts_match_the_cli(tmp_path, monkeypatch, capsys):
     for argv, expected in transcripts:
         assert run_cli(*argv) == 0, argv
         assert capsys.readouterr().out.splitlines() == expected, argv
+
+
+def test_readme_library_quick_start_runs(tmp_path):
+    # the one ```python block, in a fresh interpreter on the source tree
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```")[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[0].startswith("0.00220699")

@@ -7,11 +7,8 @@ from helpers import coin_flips
 from qrngkit import (
     BitString,
     ExtractionOutput,
-    PairVonNeumannExtractor,
-    PeresExtractor,
     QrngConfig,
     UsageError,
-    XorOffsetExtractor,
     pair_prob_table,
     pair_von_neumann,
     peres,
@@ -52,14 +49,15 @@ def test_xor_offset_validates():
 
 
 def test_xor_offset_reference_loop():
+    # lengths up to 300 span several 64-bit words of the integer values
     rng = np.random.default_rng(90)
-    for _ in range(20):
-        n = int(rng.integers(2, 40))
-        j = int(rng.integers(0, n))
+    for _ in range(60):
+        n = int(rng.integers(1, 301))
         x = rng.integers(0, 2, n).astype(np.uint8)
         y = rng.integers(0, 2, n).astype(np.uint8)
-        want = [int(x[i] ^ y[i + j]) for i in range(n - j)]
-        assert xor_offset(bs(x), bs(y), j) == bs(want)
+        for j in [j for j in (0, 1, 3, 7, int(rng.integers(0, n))) if j < n]:
+            want = [int(x[i] ^ y[i + j]) for i in range(n - j)]
+            assert xor_offset(bs(x), bs(y), j) == bs(want)
 
 
 # --- von Neumann ---------------------------------------------------------------
@@ -124,7 +122,7 @@ def test_peres_matches_recursive_reference(depth):
 
 def test_peres_depth_past_log2_n_changes_nothing():
     # Level L gets at most n / 2^(L-1) bits, so no level past log2(n) has
-    # input; it is never built, and a huge depth costs nothing.
+    # input; it never runs, and a huge depth costs nothing.
     rng = np.random.default_rng(96)
     for _ in range(50):
         z = bs(rng.integers(0, 2, int(rng.integers(1, 3000))))
@@ -184,6 +182,27 @@ def test_pair_von_neumann_accounting():
         pair_von_neumann(BitString("01"), BitString("011"))
 
 
+def pair_von_neumann_reference(x, y):
+    """The pair comparison on lists of bits, one position-pair at a time."""
+    out = []
+    for i in range(len(x) // 2):
+        first, second = (x[2 * i], y[2 * i]), (x[2 * i + 1], y[2 * i + 1])
+        if first != second:
+            out.append(int(first > second))
+    return out
+
+
+def test_pair_von_neumann_matches_reference_loop():
+    rng = np.random.default_rng(94)
+    for _ in range(200):
+        n = int(rng.integers(0, 301))
+        x = coin_flips(key=int(rng.integers(1 << 30)), n=n, p=float(rng.random()))
+        y = coin_flips(key=int(rng.integers(1 << 30)), n=n, p=float(rng.random()))
+        want = pair_von_neumann_reference(x.tolist(), y.tolist())
+        out = pair_von_neumann(bs(x), bs(y))
+        assert (out.bits, out.consumed, out.discarded) == (bs(want), n, n - len(want))
+
+
 def test_pair_von_neumann_yield_on_fair_input():
     x = bs(coin_flips(key=103, n=400_000))
     y = bs(coin_flips(key=104, n=400_000))
@@ -208,92 +227,3 @@ def test_pair_von_neumann_balanced_under_detected_pair_law():
                     elif v1 > v2:
                         hi += w
     assert abs(lo - hi) < 1e-14
-
-
-# --- streaming equivalence ------------------------------------------------------------
-
-
-def chunks_of(arr, cuts):
-    pieces = []
-    prev = 0
-    for c in sorted(cuts):
-        pieces.append(arr[prev:c])
-        prev = c
-    pieces.append(arr[prev:])
-    return [bs(p) for p in pieces]
-
-
-def drain(ext, pieces, two_sided=False):
-    got = BitString("")
-    if two_sided:
-        for px, py in pieces:
-            got = got + ext.feed(px, py)
-    else:
-        for p in pieces:
-            got = got + ext.feed(p)
-    return got + ext.finish()
-
-
-@pytest.mark.parametrize("make,one_shot", [
-    pytest.param(lambda: PeresExtractor(1), lambda z: von_neumann(z).bits, id="peres1"),
-    (lambda: PeresExtractor(3), lambda z: peres(z, 3).bits),
-    (lambda: PeresExtractor(5), lambda z: peres(z, 5).bits),
-    pytest.param(lambda: PeresExtractor(8), lambda z: peres(z, 8).bits, id="peres8"),
-])
-def test_single_stream_chunking_invariance(make, one_shot):
-    rng = np.random.default_rng(92)
-    for _ in range(40):
-        n = int(rng.integers(0, 300))
-        arr = rng.integers(0, 2, n).astype(np.uint8)
-        cuts = rng.integers(0, n + 1, size=int(rng.integers(0, 5))).tolist()
-        assert drain(make(), chunks_of(arr, cuts)) == one_shot(bs(arr))
-        for size in (1, 3, 64):
-            assert drain(make(), chunks_of(arr, range(size, n, size))) == one_shot(bs(arr))
-
-
-@pytest.mark.parametrize("j", [0, 1, 3, 7])
-def test_xor_streaming_chunking_invariance(j):
-    rng = np.random.default_rng(93)
-    for _ in range(30):
-        n = int(rng.integers(j + 1, 200))
-        x = rng.integers(0, 2, n).astype(np.uint8)
-        y = rng.integers(0, 2, n).astype(np.uint8)
-        cuts = rng.integers(0, n + 1, size=int(rng.integers(0, 5))).tolist()
-        pieces = list(zip(chunks_of(x, cuts), chunks_of(y, cuts)))
-        assert drain(XorOffsetExtractor(j), pieces, two_sided=True) == xor_offset(bs(x), bs(y), j)
-
-
-def test_pair_vn_streaming_chunking_invariance():
-    rng = np.random.default_rng(94)
-    for _ in range(40):
-        n = int(rng.integers(0, 300))
-        x = rng.integers(0, 2, n).astype(np.uint8)
-        y = rng.integers(0, 2, n).astype(np.uint8)
-        want = pair_von_neumann(bs(x), bs(y)).bits
-        cuts = rng.integers(0, n + 1, size=int(rng.integers(0, 5))).tolist()
-        for cut in (cuts, range(1, n), range(3, n, 3)):
-            pieces = list(zip(chunks_of(x, cut), chunks_of(y, cut)))
-            assert drain(PairVonNeumannExtractor(), pieces, two_sided=True) == want
-
-
-def test_streaming_counters():
-    ext = PeresExtractor(1)
-    ext.feed(BitString("0001"))
-    ext.feed(BitString("1011"))
-    ext.finish()
-    assert ext.consumed == 8
-    assert ext.emitted == 2
-    ext = PeresExtractor(2)
-    assert ext.feed(BitString("0011010")) == BitString("0")
-    assert ext.finish() == BitString("0")
-    assert (ext.consumed, ext.emitted) == (7, 2)
-    ext = PairVonNeumannExtractor()
-    ext.feed(BitString("110"), BitString("001"))
-    ext.feed(BitString("10"), BitString("10"))
-    assert (ext.consumed, ext.emitted) == (5, 1)
-    ext = XorOffsetExtractor(1)
-    ext.feed(BitString("110"), BitString("011"))
-    assert (ext.consumed, ext.emitted) == (3, 2)
-    mismatched = PairVonNeumannExtractor()
-    with pytest.raises(UsageError):
-        mismatched.feed(BitString("01"), BitString("0"))

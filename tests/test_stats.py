@@ -72,8 +72,8 @@ def test_chi2_relabel_invariance():
 
 
 def test_chi2_p_value_decreases_with_imbalance():
-    mild = BitString("0" * 210) + BitString("01" * 95)
-    harsh = BitString("0" * 300) + BitString("01" * 50)
+    mild = BitString("0" * 210 + "01" * 95)
+    harsh = BitString("0" * 300 + "01" * 50)
     assert chi2_uniformity(harsh, 1).p_value < chi2_uniformity(mild, 1).p_value
 
 
@@ -296,6 +296,10 @@ def test_empirical_distribution_guards():
         empirical_distribution(np.zeros(0, dtype=np.int64), 3)
     with pytest.raises(UsageError):
         empirical_distribution(np.array([0]), 0)
+    # samples are integer string values; a cast would truncate or coerce these
+    for values in (np.array([0.7, 1.9]), np.array(["1", "0"]), np.array([True, False])):
+        with pytest.raises(UsageError):
+            empirical_distribution(values, 2)
 
 
 @pytest.mark.parametrize("n", [23, 64])
