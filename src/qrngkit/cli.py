@@ -212,7 +212,7 @@ def cmd_extract(args) -> tuple:
     params = {"xor": {"j": j}, "peres": {"depth": depth}}.get(args.method, {})
     if args.method == "xor":
         x, y = strings
-        result = ExtractionOutput(xor_offset(x, y, j), len(x), j)
+        result = ExtractionOutput(xor_offset(x, y, j), len(x))
     elif args.method == "vn":
         result = von_neumann(*strings)
     elif args.method == "peres":

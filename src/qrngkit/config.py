@@ -42,6 +42,8 @@ class DriftSpec:
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
         if len(self.amplitudes) != 4 or len(self.phases) != 4:
             raise UsageError("drift amplitudes and phases must have one entry per detector")
+        if not all(map(math.isfinite, (*self.amplitudes, *self.phases, self.period))):
+            raise UsageError("drift amplitudes, phases and period must be finite")
         if any(a < 0 for a in self.amplitudes):
             raise UsageError("drift amplitudes must be non-negative")
         if not self.period > 0:

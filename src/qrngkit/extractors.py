@@ -1,11 +1,12 @@
 """Bitstring post-processing: offset-XOR, von Neumann, Peres, pair-compare.
 
-Each extractor is one function of whole bitstrings. `xor_offset` returns a
-BitString and works on the strings' integer values; the tests check it
-against a per-bit loop written from its definition. The others return an
-ExtractionOutput and work on uint8 arrays: Peres is a recursion over
-consecutive pairs, von Neumann is Peres at depth 1, and the pair comparison
-orders consecutive two-bit values. BitString appears only at the public edge.
+Each extractor is one function of whole bitstrings, and all four read the
+same representation: the read-only uint8 array of 0/1 values that
+``BitString.to_array`` returns. `xor_offset` XORs one array against a shifted
+slice of the other and returns a BitString; the tests check it against a
+per-bit loop written from its definition. The others return an
+ExtractionOutput: Peres is a recursion over consecutive pairs, von Neumann is
+Peres at depth 1, and the pair comparison orders consecutive two-bit values.
 
 Two-bit values are ordered lexicographically with the leftmost bit most
 significant: 00 < 01 < 10 < 11.
@@ -34,17 +35,20 @@ class ExtractionOutput:
     """Extractor result with position accounting.
 
     `consumed` counts input positions taken in (per string, for the two-string
-    extractor); every consumed position either survives into `bits` or is
-    counted in `discarded`, including odd leftovers at a pairing stage.
+    extractors); every consumed position either survives into `bits` or is
+    `discarded`, including odd leftovers at a pairing stage.
     """
 
     bits: BitString
     consumed: int
-    discarded: int
 
     def __post_init__(self):
-        if self.discarded < 0 or len(self.bits) + self.discarded != self.consumed:
+        if self.consumed < len(self.bits):
             raise UsageError("extraction accounting does not add up")
+
+    @property
+    def discarded(self) -> int:
+        return self.consumed - len(self.bits)
 
 
 def xor_offset(x: BitString, y: BitString, j: int = 0) -> BitString:
@@ -54,7 +58,7 @@ def xor_offset(x: BitString, y: BitString, j: int = 0) -> BitString:
     if not 0 <= j < max(len(x), 1):
         raise UsageError(f"offset must satisfy 0 <= j < {max(len(x), 1)}, got {j}")
     n = len(x) - j
-    return BitString.from_index((x.value >> j) ^ (y.value & ((1 << n) - 1)), n)
+    return BitString.from_array(x.to_array()[:n] ^ y.to_array()[j:])
 
 
 def _pairs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +87,7 @@ def peres(z: BitString, depth: int = 4) -> ExtractionOutput:
     if depth < 1:
         raise UsageError("depth must be at least 1")
     bits = BitString.from_array(_peres(z.to_array(), depth))
-    return ExtractionOutput(bits, len(z), len(z) - len(bits))
+    return ExtractionOutput(bits, len(z))
 
 
 def von_neumann(z: BitString) -> ExtractionOutput:
@@ -101,4 +105,4 @@ def pair_von_neumann(x: BitString, y: BitString) -> ExtractionOutput:
         raise UsageError("pair_von_neumann needs equal-length inputs")
     first, second = _pairs(2 * x.to_array() + y.to_array())
     bits = BitString.from_array((first > second)[first != second])
-    return ExtractionOutput(bits, len(x), len(x) - len(bits))
+    return ExtractionOutput(bits, len(x))

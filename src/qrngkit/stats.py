@@ -165,8 +165,8 @@ def estimate_theta(x: BitString, y: BitString) -> ThetaEstimate:
 
 
 def empirical_distribution(values: np.ndarray, n: int) -> ExactDistribution:
-    """Frequency-normalized law of n-bit samples, given as integer string values
-    (each sample's `BitString.value`)."""
+    """Frequency-normalized law of n-bit samples, given as integer string values:
+    each sample's bits read as a binary number, leftmost bit most significant."""
     if n < 1:
         raise UsageError("support length must be positive")
     _check_dense(n)

@@ -9,13 +9,13 @@ def test_text_round_trip():
     s = BitString("0100110111")
     assert len(s) == 10
     assert s.to01() == "0100110111"
-    assert s.value == 0b0100110111
+    assert BitString(s.to01()) == s
 
 
 def test_position_zero_is_leftmost():
     s = BitString("100")
     assert s.to_array().tolist() == [1, 0, 0]
-    assert s.value == 4
+    assert s.to_array().dtype == np.uint8
 
 
 def test_rejects_non_bits():
@@ -25,13 +25,19 @@ def test_rejects_non_bits():
         BitString([0, 1])
 
 
-def test_from_index_zero_extends():
-    assert BitString.from_index(174, 10).to01() == "0010101110"
-    assert BitString.from_index(0, 3).to01() == "000"
-    with pytest.raises(UsageError):
-        BitString.from_index(16, 4)
-    with pytest.raises(UsageError):
-        BitString.from_index(-1, 4)
+def test_to_array_is_read_only():
+    arr = BitString("0110").to_array()
+    with pytest.raises(ValueError):
+        arr[0] = 1
+    with pytest.raises(ValueError):
+        BitString.from_array(np.array([1, 0])).to_array()[1] = 1
+
+
+def test_from_array_copies_its_input():
+    src = np.array([1, 0, 1], dtype=np.uint8)
+    s = BitString.from_array(src)
+    src[:] = 0
+    assert s.to01() == "101"
 
 
 def test_count():
@@ -39,6 +45,9 @@ def test_count():
     assert s.count(1) == 4
     assert s.count(0) == 3
     assert BitString("").count(0) == BitString("").count(1) == 0
+    # past 255 ones a uint8 sum would wrap around
+    many = BitString.from_array(np.ones(100_000, dtype=np.uint8))
+    assert (many.count(1), many.count(0)) == (100_000, 0)
     with pytest.raises(UsageError):
         s.count(2)
 
@@ -54,6 +63,10 @@ def test_equality_and_hashing():
     assert BitString("001") != BitString("1")
     table = {BitString("01"): "a"}
     assert table[BitString("01")] == "a"
+    # the text route and the array route build equal strings with equal hashes
+    text, arr = BitString("0010101110"), BitString.from_array([0, 0, 1, 0, 1, 0, 1, 1, 1, 0])
+    assert text == arr and hash(text) == hash(arr)
+    assert table[BitString.from_array(np.array([False, True]))] == "a"
 
 
 def test_array_round_trip():

@@ -314,6 +314,51 @@ def test_extract_peres_packed_output(tmp_path):
     assert r["in"] == 8 and r["params"] == {"depth": 2}
 
 
+EXTRACT_DIGESTS = {
+    ("xor", "ascii"):
+        "ad6ca20fc76d8b56df051ad403bf5918ec0d63f840715d6a73b208632b176b5f",
+    ("xor", "packed"):
+        "96e30e6b292a64eb84b5fc22ab0db9bc3b6a2cda447848cb63e2a67990a3a680",
+    ("vn", "ascii"):
+        "dd90fd3a5c0724949e93d9135cf9be32e0150cd9f9f518556deebb08d152d9ca",
+    ("vn", "packed"):
+        "7b0c1e30e89f1850acbe1eb2f598dfb01a279244f85af971c7fe87ac9a4f8dae",
+    ("peres", "ascii"):
+        "3889ecb4c3eea4bdb9346087879411ab923d4663243faa8f5bae87bab6f2511a",
+    ("peres", "packed"):
+        "46fca15b9417c137ae3dd25cc64082eb5d29a9bb3cd1f872b3e9e8b039d89f8b",
+    ("pair-vn", "ascii"):
+        "cfb1d7a51739b23186f8c2c29b87f7514e942c8ba9d16c4deb28fc9516086fb2",
+    ("pair-vn", "packed"):
+        "0ac7c0eb84d821e2a7c8e36f1eb6651abaaf804898319eea6418ce29d0634838",
+    ("analyze", "reports.json"):
+        "a2e529aa81e5945f63f0c53330dec8e7e8cac9a747b6d1e83e761f6e73ae1a5a",
+}
+
+
+def test_extracted_bits_and_reports_are_pinned(tmp_path):
+    # bit order and packing are part of the output contract: two runs of the same
+    # code agree whatever the order, so these digests pin the bytes themselves
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert run_cli("simulate", "--pairs", 20_000, "--seed", 7, "--theta", "0.6",
+                   "--out-dir", tmp_path) == 0
+    stream = tmp_path / "stream.ndjson"
+    got = {}
+    for method in ("xor", "vn", "peres", "pair-vn"):
+        for fmt in ("ascii", "packed"):
+            out = tmp_path / f"{method}-{fmt}"
+            offset = ("--j", 1) if method == "xor" else ()
+            assert run_cli("extract", "--method", method, *offset, "--stream", stream,
+                           "--format", fmt, "--out-dir", out) == 0
+            got[method, fmt] = sha(out / "extracted.bits")
+    assert run_cli("analyze", "--in", tmp_path / "xor-ascii" / "extracted.bits",
+                   "--out-dir", tmp_path / "analyze") == 0
+    got["analyze", "reports.json"] = sha(tmp_path / "analyze" / "reports.json")
+    assert got == EXTRACT_DIGESTS
+
+
 @pytest.mark.parametrize("method", ["xor", "vn", "peres", "pair-vn"])
 def test_extract_from_an_empty_stream_writes_no_bits(tmp_path, method):
     empty = np.zeros(0, dtype=np.uint8)

@@ -45,6 +45,17 @@ def test_drift_spec_validation():
         DriftSpec(amplitudes=(-0.1, 0, 0, 0), period=10.0)
     with pytest.raises(UsageError):
         DriftSpec(amplitudes=(0.1, 0, 0, 0), period=0.0)
+    nan, inf = math.nan, math.inf
+    for bad in [
+        dict(amplitudes=(nan,) * 4, period=100.0),
+        dict(amplitudes=(0.1, 0, 0, inf), period=100.0),
+        dict(amplitudes=(0.1, 0, 0, 0), period=100.0, phases=(nan,) * 4),
+        dict(amplitudes=(0.1, 0, 0, 0), period=100.0, phases=(0, -inf, 0, 0)),
+        dict(amplitudes=(0.1, 0, 0, 0), period=inf),
+        dict(amplitudes=(0.1, 0, 0, 0), period=nan),
+    ]:
+        with pytest.raises(UsageError):
+            DriftSpec(**bad)
 
 
 def test_drift_must_keep_efficiencies_in_range():

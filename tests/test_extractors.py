@@ -23,9 +23,10 @@ def bs(arr):
 
 def test_extraction_accounting_enforced():
     with pytest.raises(UsageError):
-        ExtractionOutput(BitString("01"), consumed=4, discarded=1)
-    out = ExtractionOutput(BitString("01"), consumed=4, discarded=2)
-    assert len(out.bits) + out.discarded == out.consumed
+        ExtractionOutput(BitString("011"), consumed=2)
+    out = ExtractionOutput(BitString("01"), consumed=4)
+    assert out.discarded == 2
+    assert ExtractionOutput(BitString("01"), consumed=2).discarded == 0
 
 
 # --- offset XOR --------------------------------------------------------------

@@ -535,7 +535,7 @@ def test_law_csvs_match_per_row_reference_across_chunks(tmp_path, monkeypatch):
         p = tmp_path / f"{column}.csv"
         write(p, d)
         rows = [f"index,bitstring,{column}"] + [
-            f"{i},{BitString.from_index(i, n).to01()},{repr(float(q) - shift)}"
+            f"{i},{''.join(str(i >> (n - 1 - p) & 1) for p in range(n))},{repr(float(q) - shift)}"
             for i, q in enumerate(d.probs)
         ]
         assert p.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
