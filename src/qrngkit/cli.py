@@ -139,11 +139,6 @@ def _refuse_unread(args, reason: str, *dests: str) -> None:
 
 def cmd_exact(args) -> tuple:
     cfg = _build_config(args)
-    # the config fields the exact law does not model; each is falsy when unset
-    unmodelled = [f for f in ("drift", "double_count_prob", "demon_rho") if getattr(cfg, f)]
-    if unmodelled:
-        raise UsageError("exact computes the ideal pair law; it would ignore "
-                         + " and ".join(f"config field {f}" for f in unmodelled))
     dist = xor_distribution_transfer(args.n, args.j, cfg, max_bits=args.max_bits)
     tv = tv_distance(dist, ExactDistribution.uniform(args.n))
     lines = [f"tv_to_uniform {tv!r}"] if args.tv else []

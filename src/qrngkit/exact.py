@@ -7,7 +7,8 @@ The enumeration route (`joint_distribution`, `xor_distribution`) is the
 oracle: it sums per-pair weights over the full outcome space and normalizes
 by the brute total. The closed-form route (`pair_prob_table`, `marginal_bias`,
 `xor_bias`, `xor_distribution_closed_form`) evaluates the analytic formulas
-directly.
+directly. Every route reads the single-pair law through this module, and
+every law function refuses a config holding a field that law does not model.
 
 Single-pair law
 ---------------
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from .errors import ResourceBudgetError, UsageError
 __all__ = [
     "DENSE_LAW_CAP",
     "ENUMERATION_CAP",
-    "BiasParams",
     "ExactDistribution",
     "pair_prob_table",
     "joint_distribution",
@@ -90,20 +89,6 @@ def _check_dense(n: int):
         )
 
 
-@dataclass(frozen=True)
-class BiasParams:
-    """Zero/one probabilities of a constantly biased source."""
-
-    p0: float
-    p1: float
-
-    def __post_init__(self):
-        if self.p0 < 0 or self.p1 < 0:
-            raise UsageError("bias probabilities must be non-negative")
-        if abs(self.p0 + self.p1 - 1.0) > _NORMALIZATION_TOL:
-            raise UsageError(f"bias probabilities must sum to 1, got {self.p0 + self.p1}")
-
-
 class ExactDistribution:
     """Explicit mass function over n-bit strings or over pairs of them.
 
@@ -120,10 +105,11 @@ class ExactDistribution:
         size = 1 << n
         if probs.shape not in ((size,), (size, size)):
             raise UsageError(f"probs shape {probs.shape} does not match n={n}")
-        if probs.min(initial=0.0) < 0.0:
-            raise UsageError("negative mass")
+        # written so that a NaN fails them too; an infinite mass fails the sum
+        if not probs.min(initial=0.0) >= 0.0:
+            raise UsageError("mass must be non-negative and not NaN")
         total = float(probs.sum())
-        if abs(total - 1.0) > _NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= _NORMALIZATION_TOL:
             raise UsageError(f"mass must sum to 1 within {_NORMALIZATION_TOL}, got {total!r}")
         probs.setflags(write=False)
         self.n = n
@@ -138,12 +124,14 @@ class ExactDistribution:
         return cls(n, np.full(size, 1.0 / size))
 
     @classmethod
-    def from_bias(cls, bias: BiasParams, n: int) -> "ExactDistribution":
-        """Product law of n independent draws from ``bias``."""
+    def from_bias(cls, bias: "ExactDistribution", n: int) -> "ExactDistribution":
+        """Product law of n independent draws from ``bias``, a law of one bit."""
+        if bias.probs.shape != (2,):
+            raise UsageError(f"a bias is a law of one bit, got probs of shape {bias.probs.shape}")
         _check_dense(n)
+        p0, p1 = bias.probs
         ones = _popcounts(np.arange(1 << n, dtype=np.uint32))
-        probs = (bias.p1 ** ones) * (bias.p0 ** (n - ones))
-        return cls(n, probs)
+        return cls(n, (p1 ** ones) * (p0 ** (n - ones)))
 
     # --- accessors ----------------------------------------------------------
 
@@ -157,29 +145,34 @@ class ExactDistribution:
         return self.probs - 1.0 / (1 << self.n)
 
 
-# --- closed forms ----------------------------------------------------------
+# --- single-pair law and closed forms ----------------------------------------
 
 
-def _pair_weights(cfg: QrngConfig):
-    """Unnormalized single-pair weights w[a][b] and their fixed-order sum Z1."""
-    s = math.sin(cfg.theta) ** 2
-    c = math.cos(cfg.theta) ** 2
-    w00 = c * cfg.e0_plus * cfg.e0_times
-    w01 = s * cfg.e0_plus * cfg.e1_times
-    w10 = s * cfg.e1_plus * cfg.e0_times
-    w11 = c * cfg.e1_plus * cfg.e1_times
-    z1 = w00 + w01 + w10 + w11
-    return (w00, w01, w10, w11), z1
+def _check_ideal(cfg: QrngConfig):
+    """Refuse a config holding a field the ideal pair law does not model; each is falsy unset."""
+    unmodelled = [f for f in ("drift", "double_count_prob", "demon_rho") if getattr(cfg, f)]
+    if unmodelled:
+        raise UsageError("exact computes the ideal pair law; it would ignore "
+                         + " and ".join(f"config field {f}" for f in unmodelled))
+
+
+def _cell_weights(theta: float, e0p, e1p, e0t, e1t) -> tuple:
+    """Unnormalized weights of the cells 00, 01, 10, 11 of one pair, at efficiencies
+    given as floats or, as the sampler passes them, as per-record columns."""
+    s = math.sin(theta) ** 2
+    c = math.cos(theta) ** 2
+    return c * e0p * e0t, s * e0p * e1t, s * e1p * e0t, c * e1p * e1t
 
 
 def pair_prob_table(cfg: QrngConfig) -> np.ndarray:
     """All four pair probabilities as a 2x2 array indexed [a, b]."""
-    w, z1 = _pair_weights(cfg)
-    return np.array(w, dtype=np.float64).reshape(2, 2) / z1
+    _check_ideal(cfg)
+    w = _cell_weights(cfg.theta, *cfg.efficiencies)
+    return np.array(w, dtype=np.float64).reshape(2, 2) / sum(w)
 
 
-def marginal_bias(cfg: QrngConfig, side: str = "plus") -> BiasParams:
-    """Bias of one string when the other is discarded.
+def marginal_bias(cfg: QrngConfig, side: str = "plus") -> ExactDistribution:
+    """Law of one bit of one string when the other is discarded.
 
     Each kept string is i.i.d. with
 
@@ -189,24 +182,20 @@ def marginal_bias(cfg: QrngConfig, side: str = "plus") -> BiasParams:
     equal efficiencies on the discarded side) this collapses to
     e0 / (e0 + e1).
     """
-    (w00, w01, w10, w11), z1 = _pair_weights(cfg)
-    if side == "plus":
-        n0, n1 = w00 + w01, w10 + w11
-    elif side == "times":
-        n0, n1 = w00 + w10, w01 + w11
-    else:
+    axis = {"plus": 1, "times": 0}.get(side)
+    if axis is None:
         raise UsageError("side must be 'plus' or 'times'")
-    return BiasParams(n0 / z1, n1 / z1)
+    return ExactDistribution(1, pair_prob_table(cfg).sum(axis=axis))
 
 
-def xor_bias(cfg: QrngConfig) -> BiasParams:
-    """Bias of a single XOR'd bit at offset zero.
+def xor_bias(cfg: QrngConfig) -> ExactDistribution:
+    """Law of one bit of the offset-zero XOR.
 
-    p1 = sin^2(theta) * (e0+ e1x + e1+ e0x) / Z1 and p0 is the complementary
-    cos^2 term; the j = 0 output law is the product of these.
+    p1 = sin^2(theta) * (e0+ e1x + e1+ e0x) / Z1 is the pair table's anti-diagonal
+    sum and p0 its diagonal sum; the j = 0 output law is the product of these.
     """
-    (w00, w01, w10, w11), z1 = _pair_weights(cfg)
-    return BiasParams((w00 + w11) / z1, (w01 + w10) / z1)
+    table = pair_prob_table(cfg)
+    return ExactDistribution(1, np.array([np.trace(table), np.trace(table[::-1])]))
 
 
 def xor_distribution_closed_form(n: int, cfg: QrngConfig) -> ExactDistribution:
@@ -230,6 +219,7 @@ def xor_distribution_transfer(
     (2,) * n, axis i holding bit z_i, so each class's recursion only spans
     its own axes and the product of the class laws broadcasts to the whole.
     """
+    _check_ideal(cfg)
     if n < 1:
         raise UsageError("n must be positive")
     if j < 0:
@@ -286,6 +276,7 @@ def _check_budget(total_bits: int, cap: int):
 
 def _position_weights(m: int, cfg: QrngConfig):
     """Per-distance angle factors s^d c^(m-d) and per-string efficiency weights."""
+    _check_ideal(cfg)
     exps = np.arange(m + 1, dtype=np.float64)
     s = math.sin(cfg.theta) ** 2
     c = math.cos(cfg.theta) ** 2
@@ -390,8 +381,7 @@ def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> float:
 
 def l1_distance(d1: ExactDistribution, d2: ExactDistribution) -> float:
     """Unhalved sum of absolute mass differences (twice `tv_distance`)."""
-    _check_same_support(d1, d2)
-    return float(np.abs(d1.probs - d2.probs).sum())
+    return 2.0 * tv_distance(d1, d2)
 
 
 def _check_theta_range(theta: float):

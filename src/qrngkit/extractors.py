@@ -84,6 +84,9 @@ def peres(z: BitString, depth: int = 4) -> ExtractionOutput:
     """Iterated von Neumann (Peres 1992). A level with no pairs ends its branch,
     and each level gets at most half the bits of the one above, so only about
     log2(n) levels ever run whatever the depth."""
+    # a float depth would never meet depth == 1 and run every level
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
+        raise UsageError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise UsageError("depth must be at least 1")
     bits = BitString.from_array(_peres(z.to_array(), depth))

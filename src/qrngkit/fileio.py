@@ -92,8 +92,10 @@ def read_bits(path) -> BitString:
         raise InputFormatError(f"{path}: bit count in header is not a plain decimal") from None
     payload = raw[eol + 1 :]
     text = payload.translate(None, b"\r\n")
-    if len(text) == n and (not text or max(text) <= 0x31 and min(text) >= 0x30):
-        return BitString(text.decode("ascii"))
+    if len(text) == n:
+        bits = np.frombuffer(text, dtype=np.uint8) - np.uint8(ord("0"))
+        if (bits <= 1).all():  # a byte below '0' wraps round to 208 or more
+            return BitString.from_array(bits)
     packed = -(-n // 8)  # integer ceiling: n / 8 overflows a float for huge headers
     if len(payload) == packed:
         arr = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")

@@ -20,6 +20,7 @@ acts on the offset-0 XOR bit of each record, so rejected bits drop whole records
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ import numpy as np
 from .bitstring import BitString
 from .config import QrngConfig
 from .errors import ResourceBudgetError, UsageError
+from .exact import _cell_weights
 from .streams import PairStream
 
 __all__ = [
@@ -75,6 +77,9 @@ _CHUNK = 1 << 14  # rows per step of both samplers and per tolist() in _scalars
 
 
 def _generator(seed: int, stage: int) -> np.random.Generator:
+    # the uint64 cast below would turn 1.5 or True into seed 1
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise UsageError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise UsageError(f"seed must lie in [0, 2**64), got {seed}")
     # a list key would pass through float64 above 2**63, where distinct seeds round together
@@ -106,25 +111,21 @@ def _check_n(n: int):
 def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     """Draw n pairs straight from the detected-pair law.
 
-    Each record's outcomes follow `exact.pair_prob_table` evaluated with the
-    efficiencies in force at the record's arrival time, so a configured drift
-    shows up as a slowly wandering bias.
+    Each record's outcomes follow the cell weights of `exact.pair_prob_table`
+    evaluated with the efficiencies in force at the record's arrival time, so a
+    configured drift shows up as a slowly wandering bias.
     """
     _check_n(n)
     rng = _generator(seed, _SAMPLING)
     times = _arrival_times(n, cfg, rng)
     u = rng.random(n)
-    s = math.sin(cfg.theta) ** 2
-    c = math.cos(cfg.theta) ** 2
     cell = np.empty(n, dtype=np.uint8)
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        e0p, e1p, e0t, e1t = cfg.efficiency_columns(times[rows])
+        weights = _cell_weights(cfg.theta, *cfg.efficiency_columns(times[rows]))
         # the running sums of the four cell weights, added in cumsum's order
-        c0 = c * e0p * e0t
-        c1 = c0 + s * e0p * e1t
-        c2 = c1 + s * e1p * e0t
-        x = u[rows] * (c2 + c * e1p * e1t)
+        c0, c1, c2, c3 = itertools.accumulate(weights)
+        x = u[rows] * c3
         # the sums never fall, so x >= c3 holds only where the cell is already the top one, 3
         np.greater_equal(x, c0, out=cell[rows])
         cell[rows] += x >= c1
@@ -189,8 +190,8 @@ def dead_time_filter(t: np.ndarray, T_d: float) -> np.ndarray:
     A record closer than T_d to the last *kept* one is dropped, which makes the
     filter idempotent; the first record is always kept.
     """
-    if T_d < 0:
-        raise UsageError("dead time must be non-negative")
+    if not T_d >= 0:  # NaN included
+        raise UsageError(f"dead time must be non-negative, got {T_d}")
     # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1]
     # in floats too); a gap <= T_d after a kept record drops it. The rest follow
     # a dropped record and loop, in runs that each start 2 after a kept record.

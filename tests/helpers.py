@@ -76,6 +76,16 @@ def demon_kept_loop(bits, rho) -> np.ndarray:
     return np.asarray(kept, dtype=np.intp)
 
 
+def arrival_times_forward(n, cfg, seed) -> np.ndarray:
+    """Sampling-stage arrival times, each one at or below the time before it set one
+    ulp above that time in a single forward pass, the oracle for the sampler's nudges."""
+    t = np.cumsum(_generator(seed, _SAMPLING).exponential(cfg.mean_pair_interval, n))
+    for i in range(1, n):
+        if t[i] <= t[i - 1]:
+            t[i] = np.nextafter(t[i - 1], math.inf)
+    return t
+
+
 def efficiencies_stacked(cfg, t) -> np.ndarray:
     """The (len(t), 4) efficiencies with one sin per distinct phase, the oracle for
     QrngConfig.efficiency_columns."""
@@ -162,6 +172,7 @@ BAD_CONFIG_TEXTS = [
     b'{"drift": {"amplitudes": [0, 0, 0, 0], "period": 1, "phases": 0}}',
     b'{"drift": {"amplitudes": [0, 0, 0, 0], "period": 1, "phase": [0, 0, 0, 0]}}',
     b'{"drift": [0, 0, 0, 0]}',
+    b'{"drift": {"amplitudes": [0, 0, 0, 0]}}',
     b'{"theta": 3.0}',
     b'\xff\xfe{"theta": 0.3}',
     b'{"theta": 0.3',

@@ -359,6 +359,48 @@ def test_extracted_bits_and_reports_are_pinned(tmp_path):
     assert got == EXTRACT_DIGESTS
 
 
+RUN_DIGESTS = {
+    ("exact-12-0", "distribution.csv"):
+        "dc8e8fcbd3e370b70046efdec6d13e61e08b40d2fb24fbbe99b8605ef4a64cc5",
+    ("exact-12-0", "deviation.csv"):
+        "e488048b2898efdfdeeae6a7126620e83a914163518b82d8e7713cef72a3fd64",
+    ("exact-12-0", "manifest.json"):
+        "0b444690f10d1e93d4c2dfcada216616248336bce65e9e7939d8e00bb923178d",
+    ("exact-10-2", "distribution.csv"):
+        "7f789284c5f8e844dd2527c1636f07f253c4a87186c91af05c0dcf34d8f58c81",
+    ("exact-10-2", "deviation.csv"):
+        "00486cfa8885e2874f1059d1c8727b1056b30f57aeab86716a5cf041618462f4",
+    ("exact-10-2", "manifest.json"):
+        "e3d9ce0ea595ba4bfbed68135f1e0783c2ac4973335f44abbb1d7f8895463fa3",
+    ("sweep", "sweep.csv"):
+        "046dd20941a7ad3aef70a2572b3cbcac86e19d0897fde24c5c91e0238aa4af08",
+    ("demon-demo", "source.bits"):
+        "04926e45db7dc0216e581c07024dbfe8c071daeb0ccd04de785e5f659c3c821d",
+    ("demon-demo", "sieved.bits"):
+        "56f277b4ca50e43d69aa1860e25efd2c3ca836a268ab4edc8341efe2c0a8591d",
+}
+
+
+def test_exact_sweep_and_demon_outputs_are_pinned(tmp_path):
+    # the exact law files, the empirical sweep through every imperfection and the
+    # demon's bit files, pinned byte for byte like the extractor outputs above
+    config = tmp_path / "imperfect.json"
+    config.write_text(json.dumps({
+        "theta": math.pi / 5, "e0_plus": 0.30, "e1_plus": 0.33, "e0_times": 0.29,
+        "e1_times": 0.30, "drift": {"amplitudes": [0.02] * 4, "period": 1000.0},
+        "double_count_prob": 0.01, "dead_time_Td": 0.3, "demon_rho": 0.5,
+    }))
+    for n, j in ((12, 0), (10, 2)):
+        assert run_cli("exact", "--n", n, "--j", j, "--max-bits", 13, "--theta", "pi/5",
+                       "--e", "0.30,0.33,0.29,0.30", "--out-dir", tmp_path / f"exact-{n}-{j}") == 0
+    assert run_cli("sweep", "--grid", "0:pi/2:5", "--empirical", 20_000, "--config", config,
+                   "--out-dir", tmp_path / "sweep") == 0
+    assert run_cli("demon-demo", "--out-dir", tmp_path / "demon-demo") == 0
+    got = {(run, name): hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
+           for run, name in RUN_DIGESTS}
+    assert got == RUN_DIGESTS
+
+
 @pytest.mark.parametrize("method", ["xor", "vn", "peres", "pair-vn"])
 def test_extract_from_an_empty_stream_writes_no_bits(tmp_path, method):
     empty = np.zeros(0, dtype=np.uint8)
@@ -635,15 +677,18 @@ HOSTILE_ARGV = [
     ("exact --n 2 --equal-e", 2),
     ("exact --n 2 --max-bits -3", 2),
     ("exact --n 2 --max-bits 0", 2),
+    ("exact --n 2 --e a,b,c,d", 2),
     ("sweep --grid 0:pi/2:3 --empirical 1e13", 3),
     ("sweep --grid 0:pi/2:9 --empirical 1000 --seed %d" % (2**64 - 8), 2),
     ("sweep --grid 0:1:%d" % (GRID_CAP + 1), 3),
+    ("sweep --grid 0:1", 2),
     # past int()'s 4300-digit limit; a short id keeps the test name readable
     pytest.param("sweep --grid 0:1:" + "9" * 5000, 3, id="sweep-grid-5000-digit-count-3"),
     *[("analyze --stream {stream} --alpha %s" % alpha, 2) for alpha in ("nan", "0", "1", "7")],
     # 8 bits hold no chi2 block size; the test is refused, not skipped
     ("analyze --in {bits} --tests chi2", 2),
     ("analyze --in {bits} --tests chi2 --alpha 0.5", 2),
+    ("analyze --in {bits} --k x", 2),
     *[(argv, 2) for argv in CONFLICTING_SOURCES],
     ("demon-demo --seed -1", 2),
     ("demon-demo --n 1e13", 3),

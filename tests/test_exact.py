@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from qrngkit import (
-    BiasParams,
+    DriftSpec,
     ExactDistribution,
     QrngConfig,
     ResourceBudgetError,
@@ -38,19 +39,29 @@ def test_distribution_must_normalize():
         ExactDistribution(2, np.array([1.5, -0.5, 0.0, 0.0]))
     with pytest.raises(UsageError):
         ExactDistribution(2, np.full(3, 1 / 3))
+    # a NaN fails every comparison, so it must be refused, not waved through
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf], [math.nan, math.nan]):
+        with pytest.raises(UsageError):
+            ExactDistribution(1, np.array(bad))
 
 
 def test_uniform_and_bias_constructors():
     u = ExactDistribution.uniform(3)
     assert np.all(u.probs == 0.125)
-    d = ExactDistribution.from_bias(BiasParams(0.7, 0.3), 2)
+    d = ExactDistribution.from_bias(ExactDistribution(1, np.array([0.7, 0.3])), 2)
     assert d.probs == pytest.approx([0.49, 0.21, 0.21, 0.09])
     with pytest.raises(UsageError):
-        BiasParams(0.7, 0.4)
+        ExactDistribution(1, np.array([0.7, 0.4]))
+
+
+def test_from_bias_takes_only_a_one_bit_law():
+    for law in (ExactDistribution.uniform(2), joint_distribution(1, QrngConfig())):
+        with pytest.raises(UsageError, match="one bit"):
+            ExactDistribution.from_bias(law, 3)
 
 
 def test_prob_accessors():
-    d = ExactDistribution.from_bias(BiasParams(0.75, 0.25), 2)
+    d = ExactDistribution.from_bias(ExactDistribution(1, np.array([0.75, 0.25])), 2)
     assert d.probs[0b01] == pytest.approx(0.1875)
     assert d.probs[3] == pytest.approx(0.0625)
     assert not d.is_pair and joint_distribution(2, QrngConfig()).is_pair
@@ -58,7 +69,7 @@ def test_prob_accessors():
 
 def test_deviation_from_uniform():
     assert np.all(ExactDistribution.uniform(2).deviation_from_uniform() == 0.0)
-    d = ExactDistribution.from_bias(BiasParams(0.75, 0.25), 1)
+    d = ExactDistribution.from_bias(ExactDistribution(1, np.array([0.75, 0.25])), 1)
     assert d.deviation_from_uniform().tolist() == [0.25, -0.25]
 
 
@@ -98,24 +109,60 @@ def test_pair_prob_skewed_values(skewed_cfg):
 
 def test_marginal_bias(skewed_cfg):
     m = marginal_bias(skewed_cfg, "plus")
-    assert m.p0 == pytest.approx(0.47357827790170464, abs=1e-15)
-    assert marginal_bias(skewed_cfg, "times").p0 == pytest.approx(
+    assert m.probs[0] == pytest.approx(0.47357827790170464, abs=1e-15)
+    assert marginal_bias(skewed_cfg, "times").probs[0] == pytest.approx(
         0.48417182392359693, abs=1e-15
     )
     # at a quarter turn the discarded side cancels: p0 = e0/(e0+e1)
     cfg = QrngConfig(theta=math.pi / 4, e0_plus=0.30, e1_plus=0.33)
-    assert marginal_bias(cfg, "plus").p0 == pytest.approx(10 / 21, abs=1e-15)
+    assert marginal_bias(cfg, "plus").probs[0] == pytest.approx(10 / 21, abs=1e-15)
     with pytest.raises(UsageError):
         marginal_bias(skewed_cfg, "diagonal")
 
 
 def test_xor_bias(skewed_cfg):
     b = xor_bias(skewed_cfg)
-    assert b.p0 == pytest.approx(0.65487342170782503, abs=1e-15)
+    assert b.probs[0] == pytest.approx(0.65487342170782503, abs=1e-15)
     # equal efficiencies cancel entirely: the one-bit law is (cos^2, sin^2)
     for theta in (0.2, 0.9, 1.4):
         b = xor_bias(QrngConfig(theta=theta))
-        assert b.p1 == pytest.approx(math.sin(theta) ** 2, abs=1e-15)
+        assert b.probs[1] == pytest.approx(math.sin(theta) ** 2, abs=1e-15)
+
+
+LAW_FUNCTIONS = {
+    "pair_prob_table": pair_prob_table,
+    "marginal_bias": marginal_bias,
+    "xor_bias": xor_bias,
+    "xor_distribution_closed_form": lambda cfg: xor_distribution_closed_form(3, cfg),
+    "xor_distribution_transfer": lambda cfg: xor_distribution_transfer(3, 1, cfg),
+    "xor_distribution": lambda cfg: xor_distribution(3, 1, cfg),
+    "joint_distribution": lambda cfg: joint_distribution(3, cfg),
+}
+_DRIFT = DriftSpec((0.01,) * 4, 100.0)
+
+
+@pytest.mark.parametrize("law", LAW_FUNCTIONS.values(), ids=LAW_FUNCTIONS.keys())
+@pytest.mark.parametrize("field,value", [
+    ("drift", _DRIFT), ("double_count_prob", 0.2), ("demon_rho", 0.5),
+])
+def test_law_functions_refuse_what_they_do_not_model(skewed_cfg, law, field, value):
+    with pytest.raises(UsageError, match=f"config field {field}"):
+        law(dataclasses.replace(skewed_cfg, **{field: value}))
+
+
+@pytest.mark.parametrize("law", LAW_FUNCTIONS.values(), ids=LAW_FUNCTIONS.keys())
+def test_law_functions_ignore_dead_time_and_pair_rate(skewed_cfg, law):
+    # neither field changes the law of one detected pair
+    timed = dataclasses.replace(skewed_cfg, dead_time_Td=0.3, mean_pair_interval=2.5)
+    got, want = law(timed), law(skewed_cfg)
+    assert np.array_equal(getattr(got, "probs", got), getattr(want, "probs", want))
+
+
+def test_transfer_refuses_before_its_budget(skewed_cfg):
+    # a refused field is a usage error even where the size alone is over budget
+    cfg = dataclasses.replace(skewed_cfg, double_count_prob=0.2)
+    with pytest.raises(UsageError, match="double_count_prob"):
+        xor_distribution_transfer(30, 0, cfg)
 
 
 # --- enumerated laws ---------------------------------------------------------------
@@ -190,7 +237,7 @@ def test_enumeration_refuses_uint32_overflow_and_dense_ceiling():
     with pytest.raises(ResourceBudgetError):
         joint_distribution(40, cfg, max_bits=64)
     with pytest.raises(ResourceBudgetError):
-        ExactDistribution.from_bias(BiasParams(0.5, 0.5), 40)
+        ExactDistribution.from_bias(ExactDistribution.uniform(1), 40)
     with pytest.raises(ResourceBudgetError):
         ExactDistribution.uniform(40)
     with pytest.raises(ResourceBudgetError):

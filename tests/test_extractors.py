@@ -132,6 +132,14 @@ def test_peres_depth_past_log2_n_changes_nothing():
     assert peres(BitString("0110"), 18).bits == peres(BitString("0110"), 3).bits
 
 
+@pytest.mark.parametrize("depth", [2.5, 2.0, True, "3", None])
+def test_peres_refuses_a_depth_that_is_not_an_integer(depth):
+    # 2.5 never met depth == 1 and ran every level; True ran as depth 1
+    with pytest.raises(UsageError, match="depth must be an integer"):
+        peres(BitString("0110" * 8), depth)
+    assert peres(BitString("0110" * 8), np.int64(3)) == peres(BitString("0110" * 8), 3)
+
+
 def test_peres_small_cases():
     assert peres(BitString("0011"), 1).bits == BitString("")
     # depth 2 recovers bits von Neumann throws away: pairs (01)(01) give

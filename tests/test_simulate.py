@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    arrival_times_forward,
     chi2_against,
     coin_flips,
     NON_BIT_ARRAYS,
@@ -278,6 +279,9 @@ def test_dead_time_idempotent():
 def test_dead_time_rejects_negative():
     with pytest.raises(UsageError):
         dead_time_filter(np.array([0.0]), -1.0)
+    # every comparison with NaN is False; unrefused, it kept only the first record
+    with pytest.raises(UsageError):
+        dead_time_filter(np.array([0.0, 1.0, 2.0]), math.nan)
 
 
 def random_times(rng, n: int, dyadic: bool) -> np.ndarray:
@@ -573,6 +577,26 @@ def test_every_seed_keys_its_generator_exactly(seed):
         for stage in (0, 1):
             key = _generator(seed, stage).bit_generator.state["state"]["key"]
             assert [int(k) for k in key] == [seed, stage]
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, False, "1", None])
+def test_seeds_that_are_not_integers_are_refused(skewed_cfg, seed):
+    # a uint64 cast would draw seed 1's stream for 1.5 or True and record the value as given
+    with pytest.raises(UsageError, match="seed must be an integer"):
+        sample_pairs(1000, skewed_cfg, seed)
+    with pytest.raises(UsageError, match="seed must be an integer"):
+        apply_double_counting(np.zeros(4, dtype=np.uint8), 0.5, seed)
+    assert sample_pairs(10, skewed_cfg, np.uint64(1)).records == sample_pairs(10, skewed_cfg, 1).records
+
+
+@pytest.mark.parametrize("interval,seed", [(1e-322, 1), (1e-322, 2), (1e-323, 3), (5e-324, 1), (1e-321, 3)])
+def test_tied_arrival_times_are_nudged_one_ulp_apart(interval, seed):
+    # gaps this short round away in the cumsum, so tied times reach the nudge loop
+    cfg = QrngConfig(mean_pair_interval=interval)
+    raw = np.cumsum(_generator(seed, 0).exponential(interval, 2000))
+    assert (np.diff(raw) <= 0).any()
+    got = sample_pairs(2000, cfg, seed).records.t
+    assert np.array_equal(got, arrival_times_forward(2000, cfg, seed))
 
 
 def test_seeds_past_two_to_the_63_draw_apart():
