@@ -81,12 +81,14 @@ def parse_angle(text: str) -> float:
 
 
 def parse_count(text: str) -> int:
-    """Positive integer, scientific notation accepted (1e6)."""
+    """Positive integer: plain digits read exactly, scientific notation (1e6) as a float."""
     try:
-        value = float(text)
+        # int() stops at 4300 digits; a longer digit string reads as a float, inf or 0
+        exact = text.isascii() and text.isdigit() and len(text) <= 4300
+        value = int(text) if exact else float(text)
     except ValueError:
         raise UsageError(f"cannot parse count {text!r}") from None
-    if not math.isfinite(value) or value < 1 or value != int(value):
+    if not (value >= 1 and value % 1 == 0):  # nan and inf fail too
         raise UsageError(f"count must be a positive integer, got {text!r}")
     return int(value)
 
@@ -226,7 +228,7 @@ def cmd_extract(args) -> tuple:
 
 
 def _chi2_blocks(args, n_bits: int) -> list[int]:
-    if args.k:
+    if args.k is not None:
         try:
             return sorted({int(p) for p in args.k.split(",")})
         except ValueError:

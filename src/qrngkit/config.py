@@ -144,7 +144,7 @@ class QrngConfig:
             if not isinstance(data, dict):
                 raise InputFormatError("expected a JSON object")
             return cls.from_dict(data)
-        except ValueError as exc:  # bad bytes, bad JSON, bad or out-of-range fields
+        except (ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON, bad fields
             raise InputFormatError(f"config file {path}: {exc}") from None
 
 

@@ -115,6 +115,9 @@ def read_bits(path) -> BitString:
 # format allows (spaces, CRLF, other key orders, blank lines) and names a bad line.
 _WRITE_CHUNK = 1 << 16
 _READ_CHUNK = 1 << 22
+# A writer line is under 40 bytes; the reader refuses to carry more than this
+# past the last newline, so a file without newlines cannot fill memory.
+_LINE_CAP = 1 << 20
 # Same text as json.dumps(..., separators=(",", ":")): json formats a finite
 # float with float.__repr__, as list.__repr__ does, and PairStream holds only
 # finite times. A record is '{"t":', its time and _SUFFIXES[2*a + b].
@@ -221,24 +224,29 @@ def _record_line(path, k: int) -> int:
         return next(islice(lines, k, None))
 
 
-def _blocks(fh):
-    """The file in runs of whole lines of about _READ_CHUNK bytes, each ending in a newline."""
-    rest = b""
+def _blocks(fh, path):
+    """The file in runs of whole lines of about _READ_CHUNK bytes, each ending in a
+    newline, as (lines before the run, blank ones included; the run)."""
+    lineno, rest, carried = 0, [], 0  # the bytes after the last newline and their count
     while data := fh.read(_READ_CHUNK):
-        rest += data
-        cut = rest.rfind(b"\n") + 1
+        cut = data.rfind(b"\n") + 1
         if cut:
-            yield rest[:cut]
-            rest = rest[cut:]
-    if rest:
-        yield rest + b"\n"
+            block = b"".join([*rest, memoryview(data)[:cut]])
+            yield lineno, block
+            lineno += block.count(b"\n")
+            rest, carried = [], 0
+        rest.append(data[cut:])
+        carried += len(data) - cut
+        if carried > _LINE_CAP:
+            raise InputFormatError(f"{path}:{lineno + 1}: line longer than {_LINE_CAP} bytes")
+    if carried:
+        yield lineno, b"".join(rest) + b"\n"
 
 
 def read_stream_ndjson(path) -> PairStream:
     chunks = []
-    lineno = 0  # lines before the current block, blank ones included
     with open(path, "rb") as fh:
-        for block in _blocks(fh):
+        for lineno, block in _blocks(fh, path):
             cols = _parse_canonical(block)
             if cols is None:
                 lines = block.split(b"\n")[:-1]  # on newlines only, as readlines splits
@@ -252,7 +260,6 @@ def read_stream_ndjson(path) -> PairStream:
                         "number t and a, b each 0 or 1"
                     ) from None
             chunks.append(cols)
-            lineno += block.count(b"\n")
     t, a, b = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
     try:
         return PairStream(t, a, b)

@@ -86,19 +86,25 @@ def _generator(seed: int, stage: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stage], dtype=np.uint64)))
 
 
-def _arrival_times(n: int, cfg: QrngConfig, rng: np.random.Generator) -> np.ndarray:
+def _arrival_times(n: int, cfg: QrngConfig, seed: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Stage 0 of ``seed``: its generator and the n arrival times it draws first.
+
+    The times are the running sum of exponential gaps. A time that a too-short gap
+    leaves at or below the one before is set one ulp above it, so the times increase.
+    """
+    _check_n(n)
+    rng = _generator(seed, _SAMPLING)
     with np.errstate(over="ignore"):
         times = np.cumsum(rng.exponential(cfg.mean_pair_interval, n))
     if not math.isfinite(times[-1]):
         raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
                          f"{cfg.mean_pair_interval} overflow float64")
-    # an extremely short gap can round away in the cumsum; nudge such times up
-    bad = np.flatnonzero(np.diff(times) <= 0.0)
-    while bad.size:
-        for i in bad:
-            times[i + 1] = np.nextafter(times[i], math.inf)
-        bad = np.flatnonzero(np.diff(times) <= 0.0)
-    return times
+    if (np.diff(times) <= 0.0).any():
+        # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
+        # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1])
+        shift = np.arange(n, dtype=np.int64)
+        times = (np.maximum.accumulate(times.view(np.int64) - shift) + shift).view(np.float64)
+    return rng, times
 
 
 def _check_n(n: int):
@@ -115,9 +121,7 @@ def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     evaluated with the efficiencies in force at the record's arrival time, so a
     configured drift shows up as a slowly wandering bias.
     """
-    _check_n(n)
-    rng = _generator(seed, _SAMPLING)
-    times = _arrival_times(n, cfg, rng)
+    rng, times = _arrival_times(n, cfg, seed)
     u = rng.random(n)
     cell = np.empty(n, dtype=np.uint8)
     for lo in range(0, n, _CHUNK):
@@ -142,9 +146,7 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     keeping, outcomes follow the same law as `sample_pairs` (checked as a
     test property, not assumed here).
     """
-    _check_n(n)
-    rng = _generator(seed, _SAMPLING)
-    times = _arrival_times(n, cfg, rng)
+    rng, times = _arrival_times(n, cfg, seed)
     s = math.sin(cfg.theta) ** 2
     a = (rng.random(n) < 0.5).astype(np.uint8)
     b = a ^ (rng.random(n) < s).astype(np.uint8)

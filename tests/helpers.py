@@ -100,8 +100,7 @@ def efficiencies_stacked(cfg, t) -> np.ndarray:
 def sample_pairs_stacked(n, cfg, seed) -> PairStream:
     """Ideal-mode pairs from stacked (n, 4) cell weights and their cumsum, the oracle
     for sample_pairs."""
-    rng = _generator(seed, _SAMPLING)
-    times = _arrival_times(n, cfg, rng)
+    rng, times = _arrival_times(n, cfg, seed)
     e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T
     s = math.sin(cfg.theta) ** 2
     c = math.cos(cfg.theta) ** 2
@@ -115,8 +114,7 @@ def sample_pairs_stacked(n, cfg, seed) -> PairStream:
 def sample_pairs_physical_stacked(n, cfg, seed) -> PairStream:
     """Detected physical-mode pairs from the (n, 4) efficiencies, the oracle for
     sample_pairs_physical."""
-    rng = _generator(seed, _SAMPLING)
-    times = _arrival_times(n, cfg, rng)
+    rng, times = _arrival_times(n, cfg, seed)
     a = (rng.random(n) < 0.5).astype(np.uint8)
     b = a ^ (rng.random(n) < math.sin(cfg.theta) ** 2).astype(np.uint8)
     e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T
@@ -177,4 +175,7 @@ BAD_CONFIG_TEXTS = [
     b'\xff\xfe{"theta": 0.3}',
     b'{"theta": 0.3',
     b'',
+    # nesting past the parser's recursion limit, at top level and inside a field
+    b'[' * 100_000 + b']' * 100_000,
+    b'{"drift": ' + b'[' * 100_000 + b']' * 100_000 + b'}',
 ]

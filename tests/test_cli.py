@@ -77,7 +77,11 @@ def test_parse_angle_rejects(bad):
 def test_parse_count():
     assert parse_count("42") == 42
     assert parse_count("1e6") == 1_000_000
-    for bad in ("0", "-3", "2.5", "many", "1e400", "inf", "-inf", "nan"):
+    # plain digits are read as an int, exactly past 2**53; a float would round this one down
+    assert parse_count("9007199254740993") == 9007199254740993
+    assert parse_count("1" + "0" * 4299) == 10**4299
+    assert parse_count("2.5e1") == 25
+    for bad in ("0", "-3", "2.5", "many", "1e400", "inf", "-inf", "nan", "9" * 5000, "0" * 5000, "²"):
         with pytest.raises(UsageError):
             parse_count(bad)
 
@@ -460,6 +464,14 @@ def test_analyze_rejects_unknown_test_names(tmp_path, monkeypatch):
     assert not (tmp_path / "reports.json").exists()
 
 
+def test_analyze_refuses_an_empty_block_list(tmp_path, capsys):
+    write_bits(tmp_path / "z.bits", BitString("01" * 200))
+    assert run_cli("analyze", "--in", tmp_path / "z.bits", "--tests", "chi2", "--k", "",
+                   "--out-dir", tmp_path / "out") == 2
+    assert "cannot parse block list ''" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_names_an_empty_stream(tmp_path, capsys):
     empty = np.zeros(0, dtype=np.uint8)
     write_stream_ndjson(tmp_path / "empty.ndjson", PairStream(np.zeros(0), empty, empty))
@@ -485,6 +497,8 @@ def test_analyze_malformed_bit_file_exit_code(tmp_path):
 def test_analyze_malformed_stream_exit_code(tmp_path):
     bad = tmp_path / "bad.ndjson"
     bad.write_text('{"t":0.1,"a":1}\n')
+    assert run_cli("analyze", "--stream", bad, "--out-dir", tmp_path) == 4
+    bad.write_bytes(b"1" * (5 << 20))  # no newline: refused at the line cap
     assert run_cli("analyze", "--stream", bad, "--out-dir", tmp_path) == 4
 
 

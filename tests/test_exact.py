@@ -43,6 +43,8 @@ def test_distribution_must_normalize():
     for bad in ([math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf], [math.nan, math.nan]):
         with pytest.raises(UsageError):
             ExactDistribution(1, np.array(bad))
+    with pytest.raises(UsageError, match="support length must be positive"):
+        ExactDistribution(0, np.array([1.0]))
 
 
 def test_uniform_and_bias_constructors():
@@ -71,6 +73,8 @@ def test_deviation_from_uniform():
     assert np.all(ExactDistribution.uniform(2).deviation_from_uniform() == 0.0)
     d = ExactDistribution.from_bias(ExactDistribution(1, np.array([0.75, 0.25])), 1)
     assert d.deviation_from_uniform().tolist() == [0.25, -0.25]
+    with pytest.raises(UsageError, match="single-string laws"):
+        joint_distribution(2, QrngConfig()).deviation_from_uniform()
 
 
 def test_marginal_of_joint_law(skewed_cfg):
@@ -189,6 +193,8 @@ def test_enumeration_budget():
     with pytest.raises(ResourceBudgetError):
         joint_distribution(5, cfg, max_bits=4)
     joint_distribution(5, cfg, max_bits=5)
+    with pytest.raises(UsageError, match="n must be positive"):
+        joint_distribution(0, cfg)
     with pytest.raises(UsageError):
         xor_distribution(0, 0, cfg)
     with pytest.raises(UsageError):
@@ -200,6 +206,8 @@ def test_xor_law_matches_closed_form():
         enum = xor_distribution(7, 0, cfg)
         closed = xor_distribution_closed_form(7, cfg)
         assert np.abs(enum.probs - closed.probs).max() < 1e-13
+    with pytest.raises(UsageError, match="n must be positive"):
+        xor_distribution_closed_form(0, QrngConfig())
 
 
 def test_xor_law_equal_efficiencies_offset_is_uniform():

@@ -440,6 +440,18 @@ def test_final_line_without_newline(tmp_path, small_chunks):
         read_stream_ndjson(p)
 
 
+def test_stream_reader_refuses_a_line_past_the_cap(tmp_path):
+    # the reader carries at most _LINE_CAP bytes past the last newline, so a file
+    # without newlines is refused after a read or two, not held in memory
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(b"1" * (5 << 20))
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:1: line longer than 1048576 bytes"):
+        read_stream_ndjson(p)
+    p.write_bytes(b'{"t":0.5,"a":0,"b":0}\n' + b" " * (5 << 20) + b"\n")
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:2: line longer than 1048576 bytes"):
+        read_stream_ndjson(p)
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

@@ -117,6 +117,9 @@ def test_arrival_times_follow_configured_rate():
     gaps = np.diff(s.t)
     assert gaps.min() > 0
     assert gaps.mean() == pytest.approx(0.25, rel=0.02)
+    for sampler in (sample_pairs, sample_pairs_physical):
+        with pytest.raises(UsageError, match="pair count must be positive"):
+            sampler(0, cfg, seed=4)
 
 
 def test_drift_shows_up_as_oscillating_bias():
@@ -591,12 +594,18 @@ def test_seeds_that_are_not_integers_are_refused(skewed_cfg, seed):
 
 @pytest.mark.parametrize("interval,seed", [(1e-322, 1), (1e-322, 2), (1e-323, 3), (5e-324, 1), (1e-321, 3)])
 def test_tied_arrival_times_are_nudged_one_ulp_apart(interval, seed):
-    # gaps this short round away in the cumsum, so tied times reach the nudge loop
+    # gaps this short round away in the cumsum, so tied times reach the nudge
     cfg = QrngConfig(mean_pair_interval=interval)
-    raw = np.cumsum(_generator(seed, 0).exponential(interval, 2000))
+    raw = np.cumsum(_generator(seed, 0).exponential(interval, 200_000))
     assert (np.diff(raw) <= 0).any()
-    got = sample_pairs(2000, cfg, seed).records.t
-    assert np.array_equal(got, arrival_times_forward(2000, cfg, seed))
+    got = sample_pairs(200_000, cfg, seed).records.t
+    assert np.array_equal(got, arrival_times_forward(200_000, cfg, seed))
+
+
+def test_a_million_tied_arrival_times_strictly_increase():
+    # at the smallest subnormal interval nearly every gap rounds away, so ties cascade
+    t = sample_pairs(1_000_000, QrngConfig(mean_pair_interval=5e-324), seed=1).records.t
+    assert len(t) == 1_000_000 and (np.diff(t) > 0).all()
 
 
 def test_seeds_past_two_to_the_63_draw_apart():

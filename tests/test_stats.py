@@ -10,6 +10,7 @@ from helpers import coin_flips
 from qrngkit import (
     BitString,
     DriftSpec,
+    TestReport,
     QrngConfig,
     ResourceBudgetError,
     UsageError,
@@ -41,6 +42,8 @@ def test_chi2_guards():
         chi2_uniformity(fair, 9)
     with pytest.raises(UsageError):
         chi2_uniformity(BitString("01" * 99), 1)  # below 100 blocks per cell
+    with pytest.raises(UsageError, match="p-value outside"):
+        TestReport("chi2_uniformity", 0.0, 1.5, True, 400, {"k": 1})
 
 
 @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 7.0, -0.01, math.inf])
