@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ from .fileio import (
     write_stream_ndjson,
     write_sweep_csv,
 )
-from .simulate import _check_n, _generator, demon_filter, demon_modulus, run_pipeline
+from .simulate import PAIR_CAP, _check_n, _generator, demon_filter, demon_modulus, run_pipeline
 from .stats import (
     DEFAULT_ALPHA,
     _check_alpha,
@@ -294,28 +295,45 @@ def _parse_grid(args) -> list[float]:
     return list(np.linspace(start, stop, count))
 
 
+def _agreement(n: int, cfg: QrngConfig, seed: int) -> float:
+    """Fraction of a run's records whose outcomes agree, a == b: one point of a sweep."""
+    stream = run_pipeline(n, cfg, seed).records
+    return 1.0 - float((stream.a ^ stream.b).mean())
+
+
 def cmd_sweep(args) -> tuple:
     if not args.empirical:
         _refuse_unread(args, "only --empirical draws pairs", "e", "config", "seed")
     seed = 0 if args.seed is None else args.seed
     thetas = _parse_grid(args)
     cfg = _build_config(args)
-    # point i draws with seed + i, so the last point's seed must be valid before the first draws
-    if args.empirical and not 0 <= seed <= 2**64 - len(thetas):
-        raise UsageError(f"--seed must lie in [0, 2**64 - {len(thetas)}] "
-                         f"for {len(thetas)} points, got {seed}")
-    rows = []
-    for i, theta in enumerate(thetas):
-        row = [theta, xor_expectation_quantum(theta), xor_expectation_classical(theta)]
-        if args.empirical:
-            cfg_t = dataclasses.replace(cfg, theta=theta)
-            stream = run_pipeline(args.empirical, cfg_t, seed + i).records
-            z = stream.a ^ stream.b
-            row.append(1.0 - float(z.mean()))
-        rows.append(row)
+    if args.empirical:
+        # point i draws with seed + i, so the last point's seed must be valid before the first draws
+        if not 0 <= seed <= 2**64 - len(thetas):
+            raise UsageError(f"--seed must lie in [0, 2**64 - {len(thetas)}] "
+                             f"for {len(thetas)} points, got {seed}")
+        _check_n(args.empirical)
+    # the analytic columns refuse an angle out of range before any point draws
+    rows = [[theta, xor_expectation_quantum(theta), xor_expectation_classical(theta)]
+            for theta in thetas]
+    if args.empirical:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # point i is keyed by seed + i alone, so the points run in forked workers in any
+        # order; together they hold at most PAIR_CAP pairs at once, as one run may
+        n, points = args.empirical, len(thetas)
+        workers = min(points, len(os.sched_getaffinity(0)), max(1, PAIR_CAP // n))
+        cfgs = [dataclasses.replace(cfg, theta=theta) for theta in thetas]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            # a failed point cancels the points not yet started and reaches main
+            agreements = pool.map(_agreement, [n] * points, cfgs, range(seed, seed + points))
+            for row, agreement in zip(rows, agreements):
+                row.append(agreement)
+    params_cfg = cfg.to_dict()
+    del params_cfg["theta"]  # each point runs at its own angle, listed in thetas
     return (
-        {"thetas": thetas, "empirical": args.empirical, "seed": seed,
-         "config": cfg.to_dict()},
+        {"thetas": thetas, "empirical": args.empirical, "seed": seed, "config": params_cfg},
         {"points": len(rows)},
         {"sweep.csv": (write_sweep_csv, rows)},
         [f"wrote {Path(args.out_dir) / 'sweep.csv'} ({len(rows)} points)"],

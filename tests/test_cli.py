@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -159,8 +161,10 @@ def test_exact_law_file_matches_enumeration(tmp_path):
     assert np.abs(got - xor_distribution(7, 3, cfg).probs).max() <= 1e-14
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, qrngkit.cli; sys.exit('scipy' in sys.modules)"
+# imported only by the commands that use them, so every command starts without them
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures"])
+def test_cli_import_leaves_scipy_unloaded(module):
+    code = f"import sys, qrngkit.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -385,15 +389,18 @@ RUN_DIGESTS = {
 }
 
 
+IMPERFECT_CONFIG = {
+    "theta": math.pi / 5, "e0_plus": 0.30, "e1_plus": 0.33, "e0_times": 0.29,
+    "e1_times": 0.30, "drift": {"amplitudes": [0.02] * 4, "period": 1000.0},
+    "double_count_prob": 0.01, "dead_time_Td": 0.3, "demon_rho": 0.5,
+}
+
+
 def test_exact_sweep_and_demon_outputs_are_pinned(tmp_path):
     # the exact law files, the empirical sweep through every imperfection and the
     # demon's bit files, pinned byte for byte like the extractor outputs above
     config = tmp_path / "imperfect.json"
-    config.write_text(json.dumps({
-        "theta": math.pi / 5, "e0_plus": 0.30, "e1_plus": 0.33, "e0_times": 0.29,
-        "e1_times": 0.30, "drift": {"amplitudes": [0.02] * 4, "period": 1000.0},
-        "double_count_prob": 0.01, "dead_time_Td": 0.3, "demon_rho": 0.5,
-    }))
+    config.write_text(json.dumps(IMPERFECT_CONFIG))
     for n, j in ((12, 0), (10, 2)):
         assert run_cli("exact", "--n", n, "--j", j, "--max-bits", 13, "--theta", "pi/5",
                        "--e", "0.30,0.33,0.29,0.30", "--out-dir", tmp_path / f"exact-{n}-{j}") == 0
@@ -545,17 +552,72 @@ def test_sweep_grid_with_empirical_column(tmp_path):
     assert read_manifest(tmp_path)["results"]["points"] == 5
 
 
-def test_sweep_checks_the_last_point_seed_before_any_draw(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("pairs,seed,code,words", [
+    # point 8 would draw with seed 2**64, one past the last valid seed
+    pytest.param(1000, 2**64 - 8, 2, ("--seed", "9 points"), id="seed-range"),
+    pytest.param("1e13", 0, 3, ("per-run budget",), id="pair-budget"),
+])
+def test_sweep_checks_the_last_point_seed_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                          pairs, seed, code, words):
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a point was drawn before the seed range was checked")
+        raise AssertionError("a point was drawn before the sweep's arguments were checked")
 
     monkeypatch.setattr("qrngkit.cli.run_pipeline", must_not_run)
-    # point 8 would draw with seed 2**64, one past the last valid seed
-    assert run_cli("sweep", "--grid", "0:pi/2:9", "--empirical", 1000, "--seed", 2**64 - 8,
+    assert run_cli("sweep", "--grid", "0:pi/2:9", "--empirical", pairs, "--seed", seed,
+                   "--out-dir", tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert all(word in err for word in words)
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_manifest_config_leaves_out_the_replaced_theta(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"theta": 0.61, "e0_plus": 0.8}')
+    assert run_cli("sweep", "--grid", "0:pi/2:3", "--empirical", 1000, "--config", config,
+                   "--out-dir", tmp_path / "out") == 0
+    params = read_manifest(tmp_path / "out")["params"]
+    assert "theta" not in params["config"] and params["config"]["e0_plus"] == 0.8
+    assert params["thetas"] == [0.0, math.pi / 4, math.pi / 2]
+
+
+def test_sweep_point_failing_in_a_worker_exits_with_its_code(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"mean_pair_interval": 1e306}')
+    assert run_cli("sweep", "--grid", "0:pi/2:5", "--empirical", 20_000, "--config", config,
                    "--out-dir", tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "--seed" in err and "9 points" in err
+    assert "overflow float64" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert multiprocessing.active_children() == []
+    assert run_cli("sweep", "--grid", "0:pi/2:5", "--empirical", 1000,
+                   "--out-dir", tmp_path / "ok") == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    config = tmp_path / "imperfect.json"
+    config.write_text(json.dumps(IMPERFECT_CONFIG))
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    outputs = []
+    for cpus, pair_cap in ((1, None), (4, None), (4, 2 * 20_000)):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        if pair_cap is not None:
+            monkeypatch.setattr("qrngkit.cli.PAIR_CAP", pair_cap)
+        out = tmp_path / f"cpus{cpus}-cap{pair_cap}"
+        assert run_cli("sweep", "--grid", "0:pi/2:5", "--empirical", 20_000, "--config", config,
+                       "--out-dir", out) == 0
+        sweep = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert sweep == RUN_DIGESTS["sweep", "sweep.csv"]
+        outputs.append((out / "manifest.json").read_bytes())
+    assert pools == [1, 4, 2]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sweep_needs_a_grid(tmp_path):
