@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -76,6 +77,15 @@ class QrngConfig:
                     raise UsageError(f"drift amplitude {a} on {name} reaches zero efficiency")
                 if e + a > 1.0:
                     raise UsageError(f"drift amplitude {a} on {name} exceeds unit efficiency")
+        # Each cell weight has one plus and one times efficiency as factors; below the
+        # normal floats it loses its digits or reaches zero, and sampler and laws go wrong.
+        amplitudes = self.drift.amplitudes if self.drift is not None else (0.0,) * 4
+        troughs = [e - a for e, a in zip(self.efficiencies, amplitudes)]
+        for plus, ep in zip(DETECTOR_NAMES[:2], troughs[:2]):
+            for times, et in zip(DETECTOR_NAMES[2:], troughs[2:]):
+                if ep * et < sys.float_info.min:
+                    raise UsageError(f"{plus} * {times} = {ep} * {et} at its lowest is "
+                                     "below the smallest normal float")
         if not self.dead_time_Td >= 0:  # NaN included
             raise UsageError("dead_time_Td must be >= 0")
         if not 0 < self.mean_pair_interval < math.inf:

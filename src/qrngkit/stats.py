@@ -3,7 +3,8 @@
 Everything here is a pure function of its inputs. Tests return TestReport
 values; estimators return plain numbers or small result records. Block-based
 tests use non-overlapping blocks throughout, which keeps cells independent
-and matches the usual definition of the normality criterion.
+and matches the usual definition of the normality criterion. `_chi2` is the
+package's one chi-squared route; `chi2_uniformity` is its uniform case.
 """
 
 from __future__ import annotations
@@ -75,22 +76,29 @@ class ThetaEstimate:
         return asdict(self)
 
 
-def _block_values(bits: BitString, k: int) -> np.ndarray:
-    """Integer values of the non-overlapping k-bit blocks, leftovers dropped."""
+def _block_counts(bits: BitString, k: int) -> np.ndarray:
+    """Counts of the 2^k values of the non-overlapping k-bit blocks, leftovers dropped."""
     blocks = len(bits) // k
     arr = bits.to_array()[: blocks * k].reshape(blocks, k)
-    return arr @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    return np.bincount(arr @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64)), minlength=1 << k)
+
+
+def _chi2(counts, probs) -> tuple[float, float]:
+    """Pearson's chi-squared statistic of counts against cell masses, and its p-value on
+    len(counts) - 1 degrees of freedom from the regularized upper incomplete gamma function,
+    good to ~1e-15 absolute, so extreme misfits report tiny p-values, not a clipped zero."""
+    from scipy.special import gammaincc  # about 0.3 s to import; only chi-squared needs it
+
+    counts = np.asarray(counts, dtype=np.float64)
+    expected = counts.sum() * np.asarray(probs, dtype=np.float64)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return stat, float(gammaincc((counts.size - 1) / 2.0, stat / 2.0))
 
 
 def chi2_uniformity(bits: BitString, k: int, alpha: float = DEFAULT_ALPHA) -> TestReport:
-    """Chi-squared test that non-overlapping k-bit blocks are uniform.
-
-    2^k cells, 2^k - 1 degrees of freedom; the p-value comes from the
-    regularized upper incomplete gamma function, good to ~1e-15 absolute, so
-    extreme misfits report genuinely tiny p-values instead of a clipped zero.
-    Requires at least 100 blocks worth of bits per cell count (100 * 2^k),
-    and a significance level alpha strictly between 0 and 1.
-    """
+    """Chi-squared test that non-overlapping k-bit blocks are uniform: `_chi2` over 2^k
+    cells of mass 2^-k. Requires at least 100 blocks worth of bits per cell count
+    (100 * 2^k), and a significance level alpha strictly between 0 and 1."""
     if not 1 <= k <= 8:
         raise UsageError("block length k must lie in 1..8")
     _check_alpha(alpha)
@@ -98,15 +106,7 @@ def chi2_uniformity(bits: BitString, k: int, alpha: float = DEFAULT_ALPHA) -> Te
         raise UsageError(
             f"need at least {100 * (1 << k)} bits for k={k}, got {len(bits)}"
         )
-    # scipy takes about 0.3 s to import; only this test needs it
-    from scipy.special import gammaincc
-
-    values = _block_values(bits, k)
-    counts = np.bincount(values, minlength=1 << k)
-    expected = values.size / (1 << k)
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    dof = (1 << k) - 1
-    p = float(gammaincc(dof / 2.0, stat / 2.0))
+    stat, p = _chi2(_block_counts(bits, k), np.full(1 << k, 0.5 ** k))
     return TestReport(
         "chi2_uniformity", stat, p, p >= alpha, len(bits), {"k": k, "alpha": alpha}
     )
@@ -127,8 +127,8 @@ def borel_normality(bits: BitString) -> list[TestReport]:
     bound = math.sqrt(math.log2(n) / n)
     reports = []
     for k in range(1, k_max + 1):
-        values = _block_values(bits, k)
-        freqs = np.bincount(values, minlength=1 << k) / values.size
+        counts = _block_counts(bits, k)
+        freqs = counts / counts.sum()
         worst = float(np.abs(freqs - 0.5 ** k).max())
         reports.append(
             TestReport(

@@ -5,10 +5,10 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincc
 
 from qrngkit import InputFormatError, PairStream, QrngConfig, demon_modulus
 from qrngkit.simulate import _SAMPLING, _arrival_times, _generator
+from qrngkit.stats import _chi2
 
 
 def random_configs(count, seed):
@@ -26,10 +26,7 @@ def random_configs(count, seed):
 
 def chi2_against(counts, probs) -> float:
     """p-value of the chi-squared fit of observed counts to given cell masses."""
-    counts = np.asarray(counts, dtype=np.float64)
-    expected = counts.sum() * np.asarray(probs, dtype=np.float64)
-    stat = ((counts - expected) ** 2 / expected).sum()
-    return float(gammaincc((counts.size - 1) / 2.0, stat / 2.0))
+    return _chi2(counts, probs)[1]
 
 
 def coin_flips(key: int, n: int, p: float = 0.5) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -412,6 +413,31 @@ def test_exact_sweep_and_demon_outputs_are_pinned(tmp_path):
     assert got == RUN_DIGESTS
 
 
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the dispatch cap names x86-64 levels")
+def test_pinned_bytes_hold_at_baseline_simd():
+    # the pinned streams, bit files and laws must not depend on the CPU's SIMD
+    # level: rerun them with numpy's dispatch capped at its X86_V2 baseline
+    code = (
+        "import sys, pytest\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "if __cpu_features__['X86_V3']:\n"
+        "    sys.exit('the dispatch cap did not hold')\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n"
+    )
+    tests = [f"{__file__}::{name}" for name in (
+        "test_simulate_stream_with_every_imperfection_is_pinned",
+        "test_extracted_bits_and_reports_are_pinned",
+        "test_exact_sweep_and_demon_outputs_are_pinned",
+    )]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    child = subprocess.run([sys.executable, "-c", code, *tests], env=env,
+                           cwd=Path(__file__).parent.parent, capture_output=True, text=True)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert "3 passed" in child.stdout
+
+
 @pytest.mark.parametrize("method", ["xor", "vn", "peres", "pair-vn"])
 def test_extract_from_an_empty_stream_writes_no_bits(tmp_path, method):
     empty = np.zeros(0, dtype=np.uint8)
@@ -675,6 +701,16 @@ def test_bad_angle_and_efficiency_flags(tmp_path):
     assert run_cli("simulate", "--pairs", 10, "--theta", "bogus", "--out-dir", tmp_path) == 2
     assert run_cli("simulate", "--pairs", 10, "--e", "0.5,0.5", "--out-dir", tmp_path) == 2
     assert run_cli("simulate", "--pairs", "0", "--out-dir", tmp_path) == 2
+
+
+@pytest.mark.parametrize("command,e", [(("simulate", "--pairs", 1000), 1e-170),
+                                       (("exact", "--n", 4), 1e-165)])
+def test_underflowing_efficiency_products_exit_2(tmp_path, capsys, command, e):
+    # products below the normal floats were sampled as all (1, 1) or failed inside
+    # the law; the config refuses them and names the two efficiencies
+    assert run_cli(*command, "--e", ",".join([str(e)] * 4), "--out-dir", tmp_path / "o") == 2
+    assert "e0_plus * e0_times" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_errors(tmp_path):

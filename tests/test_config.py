@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import BAD_CONFIG_TEXTS
-from qrngkit import DriftSpec, InputFormatError, QrngConfig, UsageError
+from qrngkit import (
+    DriftSpec,
+    InputFormatError,
+    QrngConfig,
+    UsageError,
+    pair_prob_table,
+    sample_pairs,
+)
 
 
 def test_defaults():
@@ -65,6 +72,31 @@ def test_drift_must_keep_efficiencies_in_range():
     with pytest.raises(UsageError):
         QrngConfig(e0_plus=0.95, drift=DriftSpec(amplitudes=(0.1, 0, 0, 0), period=5.0))
     QrngConfig(e0_plus=0.5, drift=DriftSpec(amplitudes=(0.1, 0, 0, 0), period=5.0))
+
+
+def test_efficiency_products_below_the_normal_floats_are_refused():
+    # each cell weight has one plus and one times efficiency as factors; past the
+    # normal floats it loses its digits or reaches zero, and sampler and laws go wrong
+    with pytest.raises(UsageError, match=r"e0_plus \* e0_times"):
+        QrngConfig(e0_plus=1e-170, e1_plus=1e-170, e0_times=1e-170, e1_times=1e-170)
+    with pytest.raises(UsageError, match=r"e1_plus \* e1_times"):
+        QrngConfig(e1_plus=1e-160, e1_times=1e-160)
+    # under drift each factor counts at its trough e - A, here e * 2^-40
+    QrngConfig(e0_plus=1e-150, e0_times=1e-150)
+    amp = 1e-150 * (1 - 2.0 ** -40)
+    with pytest.raises(UsageError, match=r"e0_plus \* e0_times"):
+        QrngConfig(e0_plus=1e-150, e0_times=1e-150,
+                   drift=DriftSpec(amplitudes=(amp, 0, amp, 0), period=5.0))
+
+
+def test_tiny_normal_efficiency_products_keep_the_pair_law():
+    # equal efficiencies cancel from the pair law, down to products near 1e-300
+    tiny = QrngConfig(theta=math.pi / 5, e0_plus=1e-150, e1_plus=1e-150,
+                      e0_times=1e-150, e1_times=1e-150)
+    exact = pair_prob_table(QrngConfig(theta=math.pi / 5))
+    assert np.abs(pair_prob_table(tiny) - exact).max() <= 1e-15
+    s = sample_pairs(1000, tiny, seed=3).records
+    assert len(set(zip(s.a.tolist(), s.b.tolist()))) == 4
 
 
 def test_efficiencies_at_without_drift_broadcasts():

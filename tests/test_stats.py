@@ -25,6 +25,7 @@ from qrngkit import (
     xor_distribution,
     xor_offset,
 )
+from qrngkit.stats import _chi2
 
 
 def bs(arr):
@@ -32,6 +33,16 @@ def bs(arr):
 
 
 # --- chi squared -------------------------------------------------------------------
+
+
+def test_chi2_matches_closed_form_tails():
+    # on 1 and 2 degrees of freedom the chi-squared tail is erfc(sqrt(x/2)) and exp(-x/2)
+    stat, p = _chi2([10, 30], [0.5, 0.5])
+    assert stat == 10.0
+    assert p == pytest.approx(math.erfc(math.sqrt(5.0)), rel=1e-13)
+    stat, p = _chi2([5, 10, 15], [1 / 3] * 3)
+    assert stat == pytest.approx(5.0, rel=1e-14)
+    assert p == pytest.approx(math.exp(-2.5), rel=1e-13)
 
 
 def test_chi2_guards():
