@@ -10,11 +10,14 @@ ignored). In packed mode it is ceil(n/8) raw bytes, least significant bit
 first within each byte, zero padding in the final byte. Readers distinguish
 the modes by payload shape, which is unambiguous for n > 1.
 
-Pair streams are NDJSON, read in blocks of whole lines on one of two paths.
+Pair streams are NDJSON, written with each time spelled as float.__repr__
+spells it: by orjson inside [1e-4, 1e16) and 0, where the two agree, and by
+repr outside it. They are read in blocks of whole lines on one of two paths.
 A block of the writer's exact form is checked at fixed byte offsets and its
-times parsed by one json.loads. Any other block takes the general path, which
-parses each record as a JSON object: it reads the forms the format allows
-but the writer never emits, and it names the line of a bad record.
+times parsed by one orjson.loads. Any other block takes the general path,
+which parses each record as a JSON object with the same orjson.loads: it
+reads the forms the format allows but the writer never emits, and it names
+the line of a bad record. orjson is imported by the stream functions alone.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def read_bits(path) -> BitString:
 # --- pair streams ----------------------------------------------------------------
 
 
-# Streams are written in chunks of _WRITE_CHUNK records, with one list repr
+# Streams are written in chunks of _WRITE_CHUNK records, with one orjson.dumps
 # for the times, and read in blocks of _READ_CHUNK bytes of whole lines. A
 # block of the writer's exact form takes the fast path, _parse_canonical. The
 # general path, _parse_records, stays: it alone reads the other forms the
@@ -118,9 +121,13 @@ _READ_CHUNK = 1 << 22
 # A writer line is under 40 bytes; the reader refuses to carry more than this
 # past the last newline, so a file without newlines cannot fill memory.
 _LINE_CAP = 1 << 20
-# Same text as json.dumps(..., separators=(",", ":")): json formats a finite
-# float with float.__repr__, as list.__repr__ does, and PairStream holds only
-# finite times. A record is '{"t":', its time and _SUFFIXES[2*a + b].
+# Same text as json.dumps(..., separators=(",", ":")), which spells a finite
+# float with float.__repr__; PairStream holds only finite times. orjson's
+# shortest round-trip spelling is the same token inside [_LOW, _HIGH) and for
+# 0, and differs outside (0.0000999 for 9.99e-05, 1e16 for 1e+16), where
+# times are re-spelled with repr. A record is '{"t":', its time and
+# _SUFFIXES[2*a + b].
+_LOW, _HIGH = 1e-4, 1e16
 _SUFFIXES = tuple(',"a":%d,"b":%d}\n' % (a, b) for a in (0, 1) for b in (0, 1))
 # The fixed bytes of that form as (offset, byte): from the line start for
 # '{"t":', and back from the newline for the rest, skipping the two digits.
@@ -130,14 +137,20 @@ _BAD_RECORD = (ValueError, KeyError, OverflowError, RecursionError)
 
 
 def write_stream_ndjson(path, stream: PairStream) -> Path:
+    import orjson  # about 12 ms to import; only the stream functions need it
+
     with _atomic_open(path) as fh:
         for lo in range(0, len(stream), _WRITE_CHUNK):
             hi = lo + _WRITE_CHUNK
-            times = repr(stream.t[lo:hi].tolist())[1:-1].split(", ")
+            t = stream.t[lo:hi]
+            times = orjson.dumps(t, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+            for i in np.flatnonzero(((t < _LOW) | (t >= _HIGH)) & (t != 0)).tolist():
+                times[i] = repr(float(t[i]))
             parts = ['{"t":'] * (3 * len(times))
             parts[1::3] = times
             codes = (2 * stream.a[lo:hi] + stream.b[lo:hi]).tolist()
             parts[2::3] = map(_SUFFIXES.__getitem__, codes)
+            # str.join: bytes.join takes an 80-byte buffer view per part
             fh.write("".join(parts).encode("ascii"))
     return Path(path)
 
@@ -145,11 +158,13 @@ def write_stream_ndjson(path, stream: PairStream) -> Path:
 def _parse_canonical(block: bytes):
     """Columns of a block whose every line is {"t":T,"a":A,"b":B}, else None.
 
-    ``block`` ends in a newline. The tokens T are read by one json.loads, with
-    the checked fixed bytes blanked to spaces and each newline made a comma,
-    so JSON's number grammar applies to them. Never raises: a block it does
-    not accept whole is left to _parse_records.
+    ``block`` ends in a newline. The tokens T are read by one orjson.loads,
+    with the checked fixed bytes blanked to spaces and each newline made a
+    comma, so JSON's number grammar applies to them. Never raises: a block it
+    does not accept whole is left to _parse_records.
     """
+    import orjson
+
     buf = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -158,7 +173,10 @@ def _parse_canonical(block: bytes):
     a, b = buf[ends - 8] - ord("0"), buf[ends - 2] - ord("0")
     if (a | b).max() > 1:
         return None
-    text = buf.copy()
+    array = np.empty(buf.size + 2, dtype=np.uint8)  # '[', the edited block, ']'
+    array[0], array[-1] = b"[]"
+    text = array[1:-1]
+    text[:] = buf
     for base, fixed in ((starts, _HEAD), (ends, _TAIL)):
         for k, c in fixed:
             at = base + k
@@ -168,7 +186,7 @@ def _parse_canonical(block: bytes):
     text[ends - 8] = text[ends - 2] = ord(" ")  # the digits, read above
     text[ends[:-1]] = ord(",")
     try:
-        t = json.loads("[" + text.tobytes().decode("ascii") + "]")
+        t = orjson.loads(memoryview(array))
         if len(t) != ends.size or set(map(type, t)) - {int, float}:
             return None
         t = np.array(t, dtype=np.float64)
@@ -178,12 +196,14 @@ def _parse_canonical(block: bytes):
 
 
 def _parse_records(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of the records on ``lines``, parsed with one json.loads.
+    """Columns of the records on ``lines``, parsed with one orjson.loads.
 
     Blank lines are skipped. Raises one of _BAD_RECORD unless every other
     line is exactly one object with the keys t, a, b, where t is a finite
     JSON number and a, b are the JSON integers 0 or 1.
     """
+    import orjson
+
     kept = list(filter(None, map(bytes.strip, lines)))
     blob = b"\n,".join(kept)
     # Every line must be one {...} holding no other brace. Lines hold no
@@ -196,7 +216,7 @@ def _parse_records(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarr
         and blob.count(b"}\n,{") == n - 1
     ):
         raise ValueError("not one {...} object per line")
-    recs = json.loads("[" + blob.decode("ascii") + "]")
+    recs = orjson.loads(b"[" + blob + b"]")
     if set(map(len, recs)) - {3}:
         raise ValueError("records hold exactly the keys t, a, b")
     t, a, b = (list(map(itemgetter(key), recs)) for key in "tab")
@@ -261,6 +281,7 @@ def read_stream_ndjson(path) -> PairStream:
                     ) from None
             chunks.append(cols)
     t, a, b = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
+    del chunks  # the blocks' columns, before PairStream's checks take their own temporaries
     try:
         return PairStream(t, a, b)
     except UsageError as exc:

@@ -86,11 +86,15 @@ def _block_counts(bits: BitString, k: int) -> np.ndarray:
 def _chi2(counts, probs) -> tuple[float, float]:
     """Pearson's chi-squared statistic of counts against cell masses, and its p-value on
     len(counts) - 1 degrees of freedom from the regularized upper incomplete gamma function,
-    good to ~1e-15 absolute, so extreme misfits report tiny p-values, not a clipped zero."""
+    good to ~1e-15 absolute, so extreme misfits report tiny p-values, not a clipped zero.
+    Every cell needs a positive finite mass: a zero mass would divide by zero."""
     from scipy.special import gammaincc  # about 0.3 s to import; only chi-squared needs it
 
     counts = np.asarray(counts, dtype=np.float64)
-    expected = counts.sum() * np.asarray(probs, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
+    if counts.shape != probs.shape or not (np.isfinite(probs) & (probs > 0)).all():
+        raise UsageError("chi-squared needs one positive finite mass per count")
+    expected = counts.sum() * probs
     stat = float(((counts - expected) ** 2 / expected).sum())
     return stat, float(gammaincc((counts.size - 1) / 2.0, stat / 2.0))
 

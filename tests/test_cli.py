@@ -163,7 +163,7 @@ def test_exact_law_file_matches_enumeration(tmp_path):
 
 
 # imported only by the commands that use them, so every command starts without them
-@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures"])
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures", "orjson"])
 def test_cli_import_leaves_scipy_unloaded(module):
     code = f"import sys, qrngkit.cli; sys.exit({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import read_stream_per_line
 from qrngkit import fileio
+from qrngkit.cli import main
 from qrngkit import (
     BitString,
     ExactDistribution,
@@ -207,6 +208,69 @@ def test_stream_writer_matches_json_dumps_across_chunks(tmp_path, small_chunks):
     assert b'{"t":5e-324,' in text and b'{"t":0.30000000000000004,' in text
     assert b'{"t":1e+16,' in text and b'{"t":2.0,' in text
     assert read_stream_ndjson(p) == s
+
+
+def test_stream_writer_spells_every_float_range_as_json_dumps(tmp_path):
+    # orjson spells times inside [1e-4, 1e16) and repr re-spells the rest; this
+    # pins that split against json.dumps over random bit patterns (mostly
+    # outside the band), times in the band, every power of ten with its
+    # neighbours, and 0, in chunks of the writer's own size
+    rng = np.random.default_rng(22)
+    patterns = rng.integers(1, 0x7FF0_0000_0000_0000, 1 << 17, dtype=np.uint64).view(np.float64)
+    in_band = 10.0 ** rng.uniform(-4, 16, 1 << 16)
+    powers = 10.0 ** np.arange(-323, 309, dtype=np.float64)
+    s = _stream(np.unique(np.concatenate([
+        [0.0], patterns, in_band, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)
+    ])))
+    assert len(s) > 2 * fileio._WRITE_CHUNK and np.isfinite(s.t).all()
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, s)
+    assert p.read_bytes() == _reference_ndjson(s)
+    assert read_stream_ndjson(p) == s
+
+
+def test_stream_writer_respells_whole_chunks_below_the_band(tmp_path, small_chunks):
+    s = _stream(np.concatenate([[5e-324], np.cumsum(np.full(30, 3.3e-6))]))
+    assert s.t[-1] < 1e-4
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, s)
+    text = p.read_bytes()
+    assert text == _reference_ndjson(s)
+    assert b'{"t":3.3e-06,' in text and b'e-05,"a"' in text  # repr's exponent form
+    assert read_stream_ndjson(p) == s
+
+
+_EDGE_TOKENS = [b"1E5", b"1e+5", b"0.5e-3", b"-0", b"123456789012345678901234567890", b"1e-400",
+                b"2.2250738585072011e-308", b"1.234567890123456789012345"]
+
+
+def _edge_forms(token):
+    """The record in the writer's exact form, and with spaces that only the general path reads."""
+    return (b'{"t":' + token + b',"a":0,"b":1}\n', b'{"t": ' + token + b', "a":0,"b":1}\n')
+
+
+@pytest.mark.parametrize("token", _EDGE_TOKENS)
+def test_both_read_paths_agree_on_edge_tokens(tmp_path, token):
+    fast, general = _edge_forms(token)
+    assert fileio._parse_canonical(fast) is not None and fileio._parse_canonical(general) is None
+    read = []
+    for i, record in enumerate((fast, general)):
+        p = tmp_path / f"s{i}.ndjson"
+        p.write_bytes(record)
+        read.append(read_stream_ndjson(p).t)
+    assert read[0].view(np.uint64) == read[1].view(np.uint64)
+    assert read[0][0] == float(token)
+
+
+@pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"1e400", b"01", b".5", b"1."])
+def test_both_read_paths_refuse_bad_tokens_at_their_line(tmp_path, capsys, token):
+    good = b'{"t":0.25,"a":0,"b":1}\n'
+    for record in _edge_forms(token):
+        p = tmp_path / "s.ndjson"
+        p.write_bytes(good + record + b'{"t":9.5,"a":1,"b":1}\n')
+        assert main(["extract", "--method", "xor", "--stream", str(p),
+                     "--out-dir", str(tmp_path)]) == 4
+        assert "s.ndjson:2: expected a {t,a,b} record" in capsys.readouterr().err
 
 
 def test_stream_round_trip_across_chunk_boundaries(tmp_path, small_chunks):

@@ -45,6 +45,18 @@ def test_chi2_matches_closed_form_tails():
     assert p == pytest.approx(math.exp(-2.5), rel=1e-13)
 
 
+@pytest.mark.parametrize("probs", [
+    [0.5, 0.5, 0.0],  # one mass short of the counts
+    [0.5, 0.5, 0.0, 0.0],  # a zero mass divides by zero
+    [0.5, 0.5, -0.25, 0.25],
+    [0.5, 0.5, math.nan, 0.0],
+    [0.5, 0.5, math.inf, 0.0],
+])
+def test_chi2_refuses_masses_it_cannot_score(probs):
+    with pytest.raises(UsageError, match="positive finite mass per count"):
+        _chi2([10, 30, 0, 0], probs)
+
+
 def test_chi2_guards():
     fair = bs(coin_flips(key=98, n=2000))
     with pytest.raises(UsageError):
