@@ -101,12 +101,17 @@ class QrngConfig:
 
     def efficiency_columns(self, t) -> tuple:
         """The four efficiencies at time(s) ``t``: the plain floats of `efficiencies`
-        without drift, else one array shaped like ``t`` per detector."""
+        without drift, else one array shaped like ``t`` per detector. A drift
+        phase that overflows a float at some time raises UsageError."""
         if self.drift is None:
             return self.efficiencies
-        angle = 2.0 * math.pi * np.asarray(t, dtype=np.float64) / self.drift.period
-        # one sin per distinct phase (by default all four are 0)
-        sines = {p: np.sin(angle + p) for p in set(self.drift.phases)}
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+            angle = 2.0 * math.pi * np.asarray(t, dtype=np.float64) / self.drift.period
+            # one sin per distinct phase (by default all four are 0)
+            sines = {p: np.sin(angle + p) for p in set(self.drift.phases)}
+        if not all(np.isfinite(s).all() for s in sines.values()):  # sin(inf) is NaN
+            raise UsageError(f"drift period {self.drift.period} is too short: the drift "
+                             "phase 2*pi*t/period overflows a float")
         return tuple(
             e + a * sines[p]
             for e, a, p in zip(self.efficiencies, self.drift.amplitudes, self.drift.phases)

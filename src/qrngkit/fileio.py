@@ -15,9 +15,11 @@ spells it: by orjson inside [1e-4, 1e16) and 0, where the two agree, and by
 repr outside it. They are read in blocks of whole lines on one of two paths.
 A block of the writer's exact form is checked at fixed byte offsets and its
 times parsed by one orjson.loads. Any other block takes the general path,
-which parses each record as a JSON object with the same orjson.loads: it
-reads the forms the format allows but the writer never emits, and it names
-the line of a bad record. orjson is imported by the stream functions alone.
+which parses each line as a JSON object with orjson.loads: it reads the
+forms the format allows but the writer never emits, and it names the line
+of a bad record. orjson recurses on nesting, and a deep one overflows the C
+stack, so both paths check that no record nests (_flat) before orjson sees a
+byte. Only the stream functions import orjson.
 """
 
 from __future__ import annotations
@@ -112,10 +114,9 @@ def read_bits(path) -> BitString:
 
 
 # Streams are written in chunks of _WRITE_CHUNK records, with one orjson.dumps
-# for the times, and read in blocks of _READ_CHUNK bytes of whole lines. A
-# block of the writer's exact form takes the fast path, _parse_canonical. The
-# general path, _parse_records, stays: it alone reads the other forms the
-# format allows (spaces, CRLF, other key orders, blank lines) and names a bad line.
+# for the times, and read in blocks of _READ_CHUNK bytes of whole lines. Only
+# the general path, _parse_records, reads spaces, CRLF, other key orders and
+# blank lines, and names a bad line.
 _WRITE_CHUNK = 1 << 16
 _READ_CHUNK = 1 << 22
 # A writer line is under 40 bytes; the reader refuses to carry more than this
@@ -133,7 +134,7 @@ _SUFFIXES = tuple(',"a":%d,"b":%d}\n' % (a, b) for a in (0, 1) for b in (0, 1))
 # '{"t":', and back from the newline for the rest, skipping the two digits.
 _HEAD = tuple(enumerate(b'{"t":'))
 _TAIL = tuple((k - 13, c) for k, c in enumerate(b',"a":0,"b":0}\n') if k not in (5, 11))
-_BAD_RECORD = (ValueError, KeyError, OverflowError, RecursionError)
+_BAD_RECORD = (ValueError, KeyError)
 
 
 def write_stream_ndjson(path, stream: PairStream) -> Path:
@@ -155,6 +156,13 @@ def write_stream_ndjson(path, stream: PairStream) -> Path:
     return Path(path)
 
 
+def _flat(block: bytes, firsts: bytes) -> bool:
+    """Whether ``block`` holds no '[' and one '{' per record, the one opening it,
+    ``firsts`` being the records' first bytes: every valid record does, and nests nothing."""
+    braces = np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("{"))
+    return b"[" not in block and braces == len(firsts) == firsts.count(b"{")
+
+
 def _parse_canonical(block: bytes):
     """Columns of a block whose every line is {"t":T,"a":A,"b":B}, else None.
 
@@ -171,7 +179,7 @@ def _parse_canonical(block: bytes):
     if (ends - starts < 19).any():  # room for the fixed bytes and a token
         return None
     a, b = buf[ends - 8] - ord("0"), buf[ends - 2] - ord("0")
-    if (a | b).max() > 1:
+    if (a | b).max() > 1 or not _flat(block, buf[starts].tobytes()):
         return None
     array = np.empty(buf.size + 2, dtype=np.uint8)  # '[', the edited block, ']'
     array[0], array[-1] = b"[]"
@@ -195,8 +203,8 @@ def _parse_canonical(block: bytes):
     return (t, a, b) if np.isfinite(t).all() else None
 
 
-def _parse_records(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of the records on ``lines``, parsed with one orjson.loads.
+def _parse_records(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of the records on the lines of ``text``, one orjson.loads a line.
 
     Blank lines are skipped. Raises one of _BAD_RECORD unless every other
     line is exactly one object with the keys t, a, b, where t is a finite
@@ -204,19 +212,10 @@ def _parse_records(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     import orjson
 
-    kept = list(filter(None, map(bytes.strip, lines)))
-    blob = b"\n,".join(kept)
-    # Every line must be one {...} holding no other brace. Lines hold no
-    # newline, so the count of "}\n,{" checks every join at once; together
-    # these make each array element below the record of exactly one line.
-    n = len(kept)
-    if n and not (
-        blob[:1] == b"{" and blob[-1:] == b"}"
-        and blob.count(b"{") == blob.count(b"}") == n
-        and blob.count(b"}\n,{") == n - 1
-    ):
-        raise ValueError("not one {...} object per line")
-    recs = orjson.loads(b"[" + blob + b"]")
+    kept = list(filter(None, map(bytes.strip, text.split(b"\n"))))
+    if not _flat(text, bytes(map(itemgetter(0), kept))):
+        raise ValueError("not one flat {...} object per line")
+    recs = list(map(orjson.loads, kept))
     if set(map(len, recs)) - {3}:
         raise ValueError("records hold exactly the keys t, a, b")
     t, a, b = (list(map(itemgetter(key), recs)) for key in "tab")
@@ -231,7 +230,7 @@ def _parse_records(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _parses(line: bytes) -> bool:
     try:
-        _parse_records([line])
+        _parse_records(line)
     except _BAD_RECORD:
         return False
     return True
@@ -269,11 +268,11 @@ def read_stream_ndjson(path) -> PairStream:
         for lineno, block in _blocks(fh, path):
             cols = _parse_canonical(block)
             if cols is None:
-                lines = block.split(b"\n")[:-1]  # on newlines only, as readlines splits
                 try:
-                    cols = _parse_records(lines)
+                    cols = _parse_records(block)
                 except _BAD_RECORD:
                     # A block fails exactly when one of its lines fails alone.
+                    lines = block.split(b"\n")  # on newlines only, as readlines splits
                     bad = next(i for i, line in enumerate(lines, start=1) if not _parses(line))
                     raise InputFormatError(
                         f"{path}:{lineno + bad}: expected a {{t,a,b}} record with a finite "

@@ -713,6 +713,24 @@ def test_underflowing_efficiency_products_exit_2(tmp_path, capsys, command, e):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,amplitude", [
+    (("simulate", "--pairs", 1000), 0.05),
+    (("simulate", "--pairs", 1000, "--mode", "physical"), 0.05),
+    (("simulate", "--pairs", 1000), 0.0),
+    (("sweep", "--grid", "0:pi/2:3", "--empirical", 1000), 0.05),
+])
+def test_drift_phase_overflow_exits_2(tmp_path, capsys, command, amplitude):
+    # 2*pi*t/period overflows to inf; unrefused, every efficiency is NaN and the
+    # run writes all (0, 0) records, keeps none, or sweeps 1.0 at every angle
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"theta": 0.6, "e0_plus": 0.9, "e1_plus": 0.9, "e0_times": 0.9,
+                                  "e1_times": 0.9,
+                                  "drift": {"amplitudes": [amplitude] * 4, "period": 5e-324}}))
+    assert run_cli(*command, "--config", config, "--out-dir", tmp_path / "o") == 2
+    assert "drift period 5e-324" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")

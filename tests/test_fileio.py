@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -514,6 +517,30 @@ def test_stream_reader_refuses_a_line_past_the_cap(tmp_path):
     p.write_bytes(b'{"t":0.5,"a":0,"b":0}\n' + b" " * (5 << 20) + b"\n")
     with pytest.raises(InputFormatError, match=r"s\.ndjson:2: line longer than 1048576 bytes"):
         read_stream_ndjson(p)
+
+
+_DEEP = 200_000
+_GOOD, _GOOD_CRLF = b'{"t":0.5,"a":0,"b":1}\n', b'{"t": 0.5, "a": 0, "b": 1}\r\n'
+
+
+@pytest.mark.parametrize("raw", [
+    _GOOD + b'{"t":' + b"[" * _DEEP + b"1" + b"]" * _DEEP + b',"a":0,"b":1}\n',
+    _GOOD + b'{"t":' + b'{"x":' * _DEEP + b"1" + b"}" * _DEEP + b',"a":0,"b":1}\n',
+    _GOOD_CRLF + b'{"t": ' + b"[" * _DEEP + b"1" + b"]" * _DEEP + b', "a": 0, "b": 1}\r\n',
+    # as many '{' as lines, but line 2 opens with none and the last line holds the rest
+    _GOOD + b"1\n" * (_DEEP - 1) + b'{"x":' * _DEEP + b"1" + b"}" * _DEEP + b"\n",
+], ids=["canonical-list", "canonical-object", "general-list", "braces-elsewhere"])
+def test_a_nested_record_exits_4_at_its_line(tmp_path, raw):
+    # orjson recurses on nesting and overflows the C stack at this depth, so
+    # the reader runs in a child process, where a crash fails only this test
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(raw)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-m", "qrngkit.cli", "extract", "--method", "vn",
+                          "--stream", str(p), "--out-dir", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 4, run.stderr
+    assert f"{p}:2: expected a {{t,a,b}} record" in run.stderr
 
 
 @pytest.mark.parametrize(

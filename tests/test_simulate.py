@@ -80,6 +80,7 @@ def test_stream_access():
     assert len(s) == 2
     assert s.plus_string() == BitString("10")
     assert s.times_string() == BitString("11")
+    assert repr(s) == "PairStream(n=2)"
 
 
 # --- ideal sampling ------------------------------------------------------------
