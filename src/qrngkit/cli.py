@@ -47,7 +47,7 @@ from .fileio import (
     write_stream_ndjson,
     write_sweep_csv,
 )
-from .simulate import PAIR_CAP, _check_n, _generator, demon_filter, demon_modulus, run_pipeline
+from .simulate import _check_n, _generator, _pipeline_chunks, demon_filter, demon_modulus, run_pipeline
 from .stats import (
     DEFAULT_ALPHA,
     _check_alpha,
@@ -296,9 +296,13 @@ def _parse_grid(args) -> list[float]:
 
 
 def _agreement(n: int, cfg: QrngConfig, seed: int) -> float:
-    """Fraction of a run's records whose outcomes agree, a == b: one point of a sweep."""
-    stream = run_pipeline(n, cfg, seed).records
-    return 1.0 - float((stream.a ^ stream.b).mean())
+    """Fraction of a run's records whose outcomes agree, a == b: one point of a sweep.
+    It counts over the run's chunks, so a point holds one chunk, not its n pairs."""
+    kept = disagree = 0
+    for _, a, b, *_ in _pipeline_chunks(n, cfg, seed):
+        kept += a.size
+        disagree += int(np.count_nonzero(a ^ b))
+    return 1.0 - disagree / kept  # as 1 - mean(a ^ b), whose sum of 0s and 1s is exact
 
 
 def cmd_sweep(args) -> tuple:
@@ -320,10 +324,9 @@ def cmd_sweep(args) -> tuple:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # point i is keyed by seed + i alone, so the points run in forked workers in any
-        # order; together they hold at most PAIR_CAP pairs at once, as one run may
+        # point i is keyed by seed + i alone, so the points run in forked workers in any order
         n, points = args.empirical, len(thetas)
-        workers = min(points, len(os.sched_getaffinity(0)), max(1, PAIR_CAP // n))
+        workers = min(points, len(os.sched_getaffinity(0)))
         cfgs = [dataclasses.replace(cfg, theta=theta) for theta in thetas]
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             # a failed point cancels the points not yet started and reaches main

@@ -127,9 +127,11 @@ _LINE_CAP = 1 << 20
 # shortest round-trip spelling is the same token inside [_LOW, _HIGH) and for
 # 0, and differs outside (0.0000999 for 9.99e-05, 1e16 for 1e+16), where
 # times are re-spelled with repr. A record is '{"t":', its time and
-# _SUFFIXES[2*a + b].
+# ',"a":A,"b":B}\n'; _SEP closes one record with both digits 0 and opens the
+# next, so a chunk's text is its times joined by _SEP, and its digits are set
+# at 8 and 2 bytes before each newline.
 _LOW, _HIGH = 1e-4, 1e16
-_SUFFIXES = tuple(',"a":%d,"b":%d}\n' % (a, b) for a in (0, 1) for b in (0, 1))
+_SEP = b',"a":0,"b":0}\n{"t":'
 # The fixed bytes of that form as (offset, byte): from the line start for
 # '{"t":', and back from the newline for the rest, skipping the two digits.
 _HEAD = tuple(enumerate(b'{"t":'))
@@ -144,15 +146,19 @@ def write_stream_ndjson(path, stream: PairStream) -> Path:
         for lo in range(0, len(stream), _WRITE_CHUNK):
             hi = lo + _WRITE_CHUNK
             t = stream.t[lo:hi]
-            times = orjson.dumps(t, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-            for i in np.flatnonzero(((t < _LOW) | (t >= _HIGH)) & (t != 0)).tolist():
-                times[i] = repr(float(t[i]))
-            parts = ['{"t":'] * (3 * len(times))
-            parts[1::3] = times
-            codes = (2 * stream.a[lo:hi] + stream.b[lo:hi]).tolist()
-            parts[2::3] = map(_SUFFIXES.__getitem__, codes)
-            # str.join: bytes.join takes an 80-byte buffer view per part
-            fh.write("".join(parts).encode("ascii"))
+            times = orjson.dumps(t, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            respelled = np.flatnonzero(((t < _LOW) | (t >= _HIGH)) & (t != 0)).tolist()
+            if respelled:
+                tokens = times.split(b",")
+                for i in respelled:
+                    tokens[i] = repr(float(t[i])).encode("ascii")
+                times = b",".join(tokens)
+            text = bytearray().join((_SEP[-5:], times.replace(b",", _SEP), _SEP[:-5]))
+            digits = np.frombuffer(text, dtype=np.uint8)
+            ends = np.flatnonzero(digits == ord("\n"))
+            digits[ends - 8] += stream.a[lo:hi]
+            digits[ends - 2] += stream.b[lo:hi]
+            fh.write(text)
     return Path(path)
 
 

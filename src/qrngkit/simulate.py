@@ -12,10 +12,14 @@ and double counting stage 1. The draw order is part of the contract:
 * double counting: one uniform per record except the last.
 
 `run_pipeline` chains the configured imperfections in fixed order: sampling,
-double counting, dead-time filtering, demon filtering. Each stage after sampling
-returns only its decision, a new times column or the indices it keeps, and
-`run_pipeline` gathers the columns once into the one result stream. The demon
-acts on the offset-0 XOR bit of each record, so rejected bits drop whole records.
+double counting, dead-time filtering, demon filtering. Every stage runs over
+chunks of at most _CHUNK records and carries O(1) state from one chunk to the
+next, so a run holds one chunk at a time until `run_pipeline` joins the kept
+records, and the chunks draw exactly what one whole draw would. Each stage
+after sampling returns only its decision, a new times column or the indices
+it keeps, and the kept columns are gathered once per chunk. The demon acts on
+the offset-0 XOR bit of each record, so rejected bits drop whole records. The
+public stage functions are the chunk functions run over one whole input.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ class SimulationResult:
 
 
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
-PAIR_CAP = 2**25  # a run peaks at 30-38 B per pair, so at most about 1.3 GB
-_CHUNK = 1 << 14  # rows per step of both samplers and per tolist() in _scalars
+PAIR_CAP = 2**25  # a joined run peaks near 20 B per pair, so at most about 0.7 GB
+_CHUNK = 1 << 16  # records per chunk of every stage, and per tolist() in _scalars
 
 
 def _generator(seed: int, stage: int) -> np.random.Generator:
@@ -86,32 +90,92 @@ def _generator(seed: int, stage: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stage], dtype=np.uint64)))
 
 
-def _arrival_times(n: int, cfg: QrngConfig, seed: int) -> tuple[np.random.Generator, np.ndarray]:
-    """Stage 0 of ``seed``: its generator and the n arrival times it draws first.
-
-    The times are the running sum of exponential gaps. A time that a too-short gap
-    leaves at or below the one before is set one ulp above it, so the times increase.
-    """
-    _check_n(n)
-    rng = _generator(seed, _SAMPLING)
-    with np.errstate(over="ignore"):
-        times = np.cumsum(rng.exponential(cfg.mean_pair_interval, n))
-    if not math.isfinite(times[-1]):
-        raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
-                         f"{cfg.mean_pair_interval} overflow float64")
-    if (np.diff(times) <= 0.0).any():
-        # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
-        # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1])
-        shift = np.arange(n, dtype=np.int64)
-        times = (np.maximum.accumulate(times.view(np.int64) - shift) + shift).view(np.float64)
-    return rng, times
-
-
 def _check_n(n: int):
     if n < 1:
         raise UsageError("pair count must be positive")
     if n > PAIR_CAP:
         raise ResourceBudgetError(f"count {n} exceeds the per-run budget of {PAIR_CAP}")
+
+
+def _moved(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A copy of ``rng`` moved on by ``words`` 64-bit draws, as if it had drawn them."""
+    bits = np.random.Philox()
+    bits.state = state = rng.bit_generator.state
+    head = min(words, 4 - state["buffer_pos"])  # the words left in the buffered block
+    bits.random_raw(head)
+    if words > head:  # advance steps whole 4-word blocks and drops the buffer, now empty
+        bits.advance((words - head) // 4)
+        bits.random_raw((words - head) % 4)
+    return np.random.Generator(bits)
+
+
+def _sampled(n: int, cfg: QrngConfig, seed: int, mode: str):
+    """Stage 0 of ``seed`` as chunks (t, a, b, undetected): n pairs, of which physical
+    mode keeps the coincident detections.
+
+    The outcome uniforms come after all n gaps, and a ziggurat gap takes a variable
+    number of words; so a first pass draws the gaps only to reach the state where the
+    uniforms begin, and the chunks draw the gaps again. The times are the running sum
+    of the gaps. A time that a too-short gap leaves at or below the one before is set
+    one ulp above it, so the times increase.
+    """
+    if mode not in ("ideal", "physical"):
+        raise UsageError(f"unknown simulation mode {mode!r}")
+    _check_n(n)
+    gaps, skip = _generator(seed, _SAMPLING), _generator(seed, _SAMPLING)
+    scratch = np.empty(min(n, _CHUNK))
+    for lo in range(0, n, _CHUNK):
+        skip.standard_exponential(out=scratch[: n - lo])  # exponential's words, unscaled
+    # ideal mode reads one uniform column, physical mode four, each n long
+    uniforms = [_moved(skip, column * n) for column in range(1 if mode == "ideal" else 4)]
+    s = math.sin(cfg.theta) ** 2
+    total, last = 0.0, -math.inf  # the raw running sum, and the last time given out
+    for lo in range(0, n, _CHUNK):
+        t = gaps.exponential(cfg.mean_pair_interval, min(_CHUNK, n - lo))
+        with np.errstate(over="ignore"):
+            t[0] += total  # the sum carried in, added as cumsum adds it
+            np.cumsum(t, out=t)
+        total = t[-1]
+        if not math.isfinite(total):
+            raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
+                             f"{cfg.mean_pair_interval} overflow float64")
+        if t[0] <= last or (np.diff(t) <= 0.0).any():
+            # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
+            # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1]),
+            # run on from the last time given out (-inf, below every pattern, at first)
+            shift = np.arange(lo - 1, lo + t.size, dtype=np.int64)
+            u = np.concatenate(([last], t)).view(np.int64) - shift
+            t = (np.maximum.accumulate(u) + shift)[1:].view(np.float64)
+        last = t[-1]
+        if mode == "ideal":
+            # each record's cells from the efficiencies in force at its time
+            c0, c1, c2, c3 = itertools.accumulate(
+                _cell_weights(cfg.theta, *cfg.efficiency_columns(t)))
+            x = uniforms[0].random(t.size)
+            x *= c3
+            # the sums never fall, so x >= c3 holds only where the cell is already the top one, 3
+            cell = (x >= c0).view(np.uint8)
+            cell += x >= c1
+            cell += x >= c2
+            yield t, cell >> 1, cell & 1, 0
+        else:
+            a = (uniforms[0].random(t.size) < 0.5).view(np.uint8)
+            b = a ^ (uniforms[1].random(t.size) < s).view(np.uint8)
+            e0p, e1p, e0t, e1t = cfg.efficiency_columns(t)
+            detected = uniforms[2].random(t.size) < np.where(a == 0, e0p, e1p)
+            detected &= uniforms[3].random(t.size) < np.where(b == 0, e0t, e1t)
+            yield t[detected], a[detected], b[detected], t.size - int(np.count_nonzero(detected))
+
+
+def _gathered(chunks, n: int, seed: int) -> SimulationResult:
+    """The one result of n pairs from ``chunks`` of (t, a, b, drops...), drops in stage order."""
+    t, a, b, *drops = zip(*chunks)
+    lost = [sum(d) for d in drops] + [0] * (3 - len(drops))
+    # one column at a time, so each column's chunks are freed as soon as it is joined
+    t = np.concatenate(t)
+    a = np.concatenate(a)
+    b = np.concatenate(b)
+    return SimulationResult(PairStream(t, a, b), n, *lost, seed)
 
 
 def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
@@ -121,20 +185,7 @@ def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     evaluated with the efficiencies in force at the record's arrival time, so a
     configured drift shows up as a slowly wandering bias.
     """
-    rng, times = _arrival_times(n, cfg, seed)
-    u = rng.random(n)
-    cell = np.empty(n, dtype=np.uint8)
-    for lo in range(0, n, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        weights = _cell_weights(cfg.theta, *cfg.efficiency_columns(times[rows]))
-        # the running sums of the four cell weights, added in cumsum's order
-        c0, c1, c2, c3 = itertools.accumulate(weights)
-        x = u[rows] * c3
-        # the sums never fall, so x >= c3 holds only where the cell is already the top one, 3
-        np.greater_equal(x, c0, out=cell[rows])
-        cell[rows] += x >= c1
-        cell[rows] += x >= c2
-    return SimulationResult(PairStream(times, cell >> 1, cell & 1), n, 0, 0, 0, seed)
+    return _gathered(_sampled(n, cfg, seed, "ideal"), n, seed)
 
 
 def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
@@ -146,19 +197,16 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     keeping, outcomes follow the same law as `sample_pairs` (checked as a
     test property, not assumed here).
     """
-    rng, times = _arrival_times(n, cfg, seed)
-    s = math.sin(cfg.theta) ** 2
-    a = (rng.random(n) < 0.5).astype(np.uint8)
-    b = a ^ (rng.random(n) < s).astype(np.uint8)
-    u_plus, u_times = rng.random(n), rng.random(n)
-    detected = np.empty(n, dtype=bool)
-    for lo in range(0, n, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        e0p, e1p, e0t, e1t = cfg.efficiency_columns(times[rows])
-        np.less(u_plus[rows], np.where(a[rows] == 0, e0p, e1p), out=detected[rows])
-        detected[rows] &= u_times[rows] < np.where(b[rows] == 0, e0t, e1t)
-    stream = PairStream(times[detected], a[detected], b[detected])
-    return SimulationResult(stream, n, n - len(stream), 0, 0, seed)
+    return _gathered(_sampled(n, cfg, seed, "physical"), n, seed)
+
+
+def _double_count_chunk(b: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """A copy of ``b`` in which each record whose ``swap`` is set takes the next one's
+    outcome; a swap for the last record waits for the next chunk's first outcome."""
+    out = b.copy()
+    swap = swap[: b.size - 1]
+    out[:-1][swap] = b[1:][swap]
+    return out
 
 
 def apply_double_counting(b: np.ndarray, p_dc: float, seed: int) -> np.ndarray:
@@ -174,16 +222,65 @@ def apply_double_counting(b: np.ndarray, p_dc: float, seed: int) -> np.ndarray:
         raise UsageError("double-count probability must lie in [0, 1]")
     if p_dc == 0.0 or len(b) <= 1:
         return b
-    swap = _generator(seed, _DOUBLE_COUNTING).random(len(b) - 1) < p_dc
-    out = b.copy()
-    out[:-1][swap] = b[1:][swap]
-    return out
+    return _double_count_chunk(b, _generator(seed, _DOUBLE_COUNTING).random(len(b) - 1) < p_dc)
+
+
+def _double_counted(chunks, p_dc: float, seed: int):
+    """``chunks`` with their times columns double counted, each held back until the next
+    record's outcome is known. Empty chunks pass at once: they carry only drop counts."""
+    rng, held = _generator(seed, _DOUBLE_COUNTING), None
+    for t, a, b, undetected in chunks:
+        if not b.size:
+            yield t, a, b, undetected
+            continue
+        # the one uniform per record that the last record draws is never read
+        swap = rng.random(b.size) < p_dc
+        if held is not None:
+            if held_swap:
+                held[2][-1] = b[0]
+            yield held
+        held, held_swap = (t, a, _double_count_chunk(b, swap), undetected), swap[-1]
+    if held is not None:
+        yield held
 
 
 def _scalars(*columns):
     """Rows of the columns as Python scalars, converted a chunk at a time to bound memory."""
-    for lo in range(0, len(columns[0]), _CHUNK):
-        yield from zip(*(c[lo : lo + _CHUNK].tolist() for c in columns))
+    return itertools.chain.from_iterable(  # C iterators: no Python frame per row
+        zip(*(c[lo : lo + _CHUNK].tolist() for c in columns))
+        for lo in range(0, len(columns[0]), _CHUNK))
+
+
+def _dead_time_chunk(t: np.ndarray, T_d: float, carry=None) -> tuple:
+    """Chunk-local indices of the records at times ``t`` that survive a dead time T_d,
+    and the carry for the next chunk (None before the first): the time of the chunk's
+    last record, whether its gap was short, and the last kept time."""
+    if not t.size:
+        return np.flatnonzero(t), carry
+    before, short_before, last = carry or (None, False, t[0])
+    # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1]
+    # in floats too); a gap <= T_d after a kept record drops it. The rest follow
+    # a dropped record and loop, in runs that each start 2 after a kept record.
+    keep = np.empty(t.size, dtype=bool)
+    keep[0] = carry is None or t[0] - before > T_d  # the first record is always kept
+    np.greater(np.diff(t), T_d, out=keep[1:])
+    short = ~keep
+    chained = np.flatnonzero(short[:-1] & short[1:]) + 1
+    if short[0] and short_before:
+        chained = np.append(0, chained)
+    run_start = np.diff(chained, prepend=-2) != 1
+    anchor = t[np.maximum(chained - 2, 0)]
+    anchor[: np.searchsorted(chained, 2)] = last  # 2 after a kept record before the chunk
+    revived = []
+    for i, ti, start_at, start in _scalars(chained, t[chained], anchor, run_start):
+        if start:
+            last = start_at
+        if ti - last > T_d:
+            last = ti
+            revived.append(i)
+    keep[revived] = True
+    kept = np.flatnonzero(keep)
+    return kept, (t[-1], bool(short[-1]), t[kept[-1]] if kept.size else last)
 
 
 def dead_time_filter(t: np.ndarray, T_d: float) -> np.ndarray:
@@ -194,20 +291,7 @@ def dead_time_filter(t: np.ndarray, T_d: float) -> np.ndarray:
     """
     if not T_d >= 0:  # NaN included
         raise UsageError(f"dead time must be non-negative, got {T_d}")
-    # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1]
-    # in floats too); a gap <= T_d after a kept record drops it. The rest follow
-    # a dropped record and loop, in runs that each start 2 after a kept record.
-    keep = np.ones(len(t), dtype=bool)
-    keep[1:] = np.diff(t) > T_d
-    chained = np.flatnonzero(~keep[1:-1] & ~keep[2:]) + 2
-    run_start = np.diff(chained, prepend=-1) != 1
-    for i, ti, anchor, start in _scalars(chained, t[chained], t[chained - 2], run_start):
-        if start:
-            last = anchor
-        if ti - last > T_d:
-            last = ti
-            keep[i] = True
-    return np.flatnonzero(keep)
+    return _dead_time_chunk(np.asarray(t, dtype=np.float64), T_d)[0]
 
 
 def demon_modulus(rho: float) -> int:
@@ -222,17 +306,20 @@ def demon_modulus(rho: float) -> int:
     return math.ceil((1.0 / (1.0 - rho)) * (1.0 - 1e-12))
 
 
-def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
-    """Input indices surviving the forced-zero rule of budget rho."""
-    k = demon_modulus(rho)
-    # Zeros always pass. q counts the inputs still to land before the next
-    # forced slot; each passing bit counts it down mod k. Once a run of ones
-    # meets q = 0, the rest of the run drops on that slot and the zero that
-    # ends the run fills it, so the loop steps over whole runs of ones.
+def _demon_chunk(bits: np.ndarray, k: int, q: int) -> tuple:
+    """Chunk-local indices surviving the forced-zero rule of modulus k, and the q to carry.
+
+    Zeros always pass. q counts the inputs still to land before the next forced
+    slot (k - 1 before the first chunk); each passing bit counts it down mod k.
+    Once a run of ones meets q = 0, the rest of the run drops on that slot and the
+    zero that ends the run fills it, so the loop steps over whole runs of ones. A
+    run cut by the chunk's end goes on as a run with no zeros before it, which
+    drops the same bits, and the zeros after the last run count down q at the end.
+    """
     edges = np.flatnonzero(np.diff(bits.astype(bool), prepend=False, append=False))
     starts, ends = edges[0::2], edges[1::2]
-    q, run, cut_runs, cut_offsets = k - 1, 0, [], []
-    for zeros, ones in _scalars(starts - np.append(0, ends[:-1]), ends - starts):
+    cut_runs, cut_offsets = [], []
+    for run, (zeros, ones) in enumerate(_scalars(starts - np.append(0, ends[:-1]), ends - starts)):
         q = (q - zeros) % k
         if ones > q:
             cut_runs.append(run)
@@ -240,12 +327,18 @@ def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
             q = 0
         else:
             q -= ones
-        run += 1
+    q = (q - (bits.size - (int(ends[-1]) if ends.size else 0))) % k
     # the dropped stretches are disjoint, so a running sum of +1/-1 at their ends marks them
-    marks = np.zeros(len(bits) + 1, dtype=np.int8)
+    marks = np.zeros(bits.size + 1, dtype=np.int8)
     marks[starts[cut_runs] + np.array(cut_offsets, dtype=np.intp)] = 1
     marks[ends[cut_runs]] = -1
-    return np.flatnonzero(np.cumsum(marks[:-1], dtype=np.int8) == 0)
+    return np.flatnonzero(np.cumsum(marks[:-1], dtype=np.int8) == 0), q
+
+
+def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
+    """Input indices surviving the forced-zero rule of budget rho."""
+    k = demon_modulus(rho)
+    return _demon_chunk(bits, k, k - 1)[0]
 
 
 def demon_filter(bits: BitString, rho: float) -> BitString:
@@ -262,6 +355,31 @@ def demon_filter(bits: BitString, rho: float) -> BitString:
     return BitString.from_array(arr[_demon_kept_indices(arr, rho)])
 
 
+def _pipeline_chunks(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal"):
+    """`run_pipeline`'s kept records as chunks (t, a, b, undetected, dead, demon), the
+    last three being the chunk's drops by stage."""
+    chunks = _sampled(n, cfg, seed, mode)
+    if cfg.double_count_prob > 0:
+        chunks = _double_counted(chunks, cfg.double_count_prob, seed)
+    dead = None
+    if cfg.demon_rho is not None:
+        k = demon_modulus(cfg.demon_rho)
+        q = k - 1
+    for t, a, b, undetected in chunks:
+        kept, dropped_dead, dropped_demon = None, 0, 0
+        if cfg.dead_time_Td > 0:
+            kept, dead = _dead_time_chunk(t, cfg.dead_time_Td, dead)
+            dropped_dead = t.size - kept.size
+        if cfg.demon_rho is not None:
+            z = a ^ b if kept is None else (a ^ b)[kept]
+            survivors, q = _demon_chunk(z, k, q)
+            dropped_demon = z.size - survivors.size
+            kept = survivors if kept is None else kept[survivors]
+        if kept is not None:
+            t, a, b = t[kept], a[kept], b[kept]
+        yield t, a, b, undetected, dropped_dead, dropped_demon
+
+
 def run_pipeline(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal") -> SimulationResult:
     """Generate n raw pairs and push them through the configured transforms.
 
@@ -270,26 +388,4 @@ def run_pipeline(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal") -> Sim
     filtering when cfg.dead_time_Td > 0, then the demon when cfg.demon_rho is
     set. The demon reads the XOR bits of the records dead time kept.
     """
-    if mode == "ideal":
-        result = sample_pairs(n, cfg, seed)
-    elif mode == "physical":
-        result = sample_pairs_physical(n, cfg, seed)
-    else:
-        raise UsageError(f"unknown simulation mode {mode!r}")
-    t, a, b = result.records.t, result.records.a, result.records.b
-    if cfg.double_count_prob > 0:
-        b = apply_double_counting(b, cfg.double_count_prob, seed)
-    kept, dropped_dead, dropped_demon = None, 0, 0
-    if cfg.dead_time_Td > 0:
-        kept = dead_time_filter(t, cfg.dead_time_Td)
-        dropped_dead = len(t) - kept.size
-    if cfg.demon_rho is not None:
-        z = a ^ b if kept is None else (a ^ b)[kept]
-        survivors = _demon_kept_indices(z, cfg.demon_rho)
-        dropped_demon = z.size - survivors.size
-        kept = survivors if kept is None else kept[survivors]
-    if kept is not None:
-        t, a, b = t[kept], a[kept], b[kept]
-    # a swap or a gather made new columns; else the sampled stream passes through
-    stream = result.records if b is result.records.b else PairStream(t, a, b)
-    return SimulationResult(stream, n, result.dropped_undetected, dropped_dead, dropped_demon, seed)
+    return _gathered(_pipeline_chunks(n, cfg, seed, mode), n, seed)

@@ -1,5 +1,6 @@
 """Small statistical utilities, reference loops and bad inputs shared across test modules."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from qrngkit import InputFormatError, PairStream, QrngConfig, demon_modulus
-from qrngkit.simulate import _SAMPLING, _arrival_times, _generator
+from qrngkit.exact import _cell_weights
+from qrngkit.simulate import _DOUBLE_COUNTING, _SAMPLING, _generator
 from qrngkit.stats import _chi2
 
 
@@ -94,10 +96,113 @@ def efficiencies_stacked(cfg, t) -> np.ndarray:
     return base + amp * np.sin(2.0 * math.pi * t[:, None] / cfg.drift.period + phases)[:, column]
 
 
+# --- the simulator's stages over whole columns, the oracle for its chunked stages ---
+
+
+def arrival_times_whole(n, cfg, seed):
+    """Stage 0 of ``seed``: its generator and the n arrival times it draws first, the
+    ties nudged by one running maximum over the whole column."""
+    rng = _generator(seed, _SAMPLING)
+    with np.errstate(over="ignore"):
+        times = np.cumsum(rng.exponential(cfg.mean_pair_interval, n))
+    assert math.isfinite(times[-1]), "the sampler refuses an overflowing run"
+    if (np.diff(times) <= 0.0).any():
+        # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
+        # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1])
+        shift = np.arange(n, dtype=np.int64)
+        times = (np.maximum.accumulate(times.view(np.int64) - shift) + shift).view(np.float64)
+    return rng, times
+
+
+def sample_pairs_whole(n, cfg, seed):
+    """Ideal-mode pairs with every column drawn whole: (stream, undetected)."""
+    rng, times = arrival_times_whole(n, cfg, seed)
+    u = rng.random(n)
+    c0, c1, c2, c3 = itertools.accumulate(
+        _cell_weights(cfg.theta, *cfg.efficiency_columns(times)))
+    x = u * c3
+    cell = (x >= c0).astype(np.uint8) + (x >= c1) + (x >= c2)
+    return PairStream(times, cell >> 1, cell & 1), 0
+
+
+def sample_pairs_physical_whole(n, cfg, seed):
+    """Physical-mode detections with every column drawn whole: (stream, undetected)."""
+    rng, times = arrival_times_whole(n, cfg, seed)
+    a = (rng.random(n) < 0.5).astype(np.uint8)
+    b = a ^ (rng.random(n) < math.sin(cfg.theta) ** 2).astype(np.uint8)
+    u_plus, u_times = rng.random(n), rng.random(n)
+    e0p, e1p, e0t, e1t = cfg.efficiency_columns(times)
+    detected = (u_plus < np.where(a == 0, e0p, e1p)) & (u_times < np.where(b == 0, e0t, e1t))
+    return PairStream(times[detected], a[detected], b[detected]), n - int(detected.sum())
+
+
+def double_count_whole(b, p_dc, seed):
+    """The times column after one vectorised swap of each record with the next."""
+    if p_dc == 0.0 or len(b) <= 1:
+        return b
+    swap = _generator(seed, _DOUBLE_COUNTING).random(len(b) - 1) < p_dc
+    out = b.copy()
+    out[:-1][swap] = b[1:][swap]
+    return out
+
+
+def dead_time_whole(t, T_d):
+    """Kept indices from the stateless fates of the whole column and one loop over the
+    runs of records that follow a dropped one."""
+    keep = np.ones(len(t), dtype=bool)
+    keep[1:] = np.diff(t) > T_d
+    chained = np.flatnonzero(~keep[1:-1] & ~keep[2:]) + 2
+    run_start = np.diff(chained, prepend=-1) != 1
+    for i, ti, anchor, start in zip(*(c.tolist() for c in (
+            chained, t[chained], t[chained - 2], run_start))):
+        if start:
+            last = anchor
+        if ti - last > T_d:
+            last = ti
+            keep[i] = True
+    return np.flatnonzero(keep)
+
+
+def demon_whole(bits, rho):
+    """Kept indices from one loop over every run of ones of the whole input."""
+    k = demon_modulus(rho)
+    edges = np.flatnonzero(np.diff(bits.astype(bool), prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    q, marks = k - 1, np.zeros(len(bits) + 1, dtype=np.int8)
+    for start, zeros, ones in zip(starts.tolist(), (starts - np.append(0, ends[:-1])).tolist(),
+                                  (ends - starts).tolist()):
+        q = (q - zeros) % k
+        if ones > q:
+            marks[start + q] = 1
+            marks[start + ones] = -1
+            q = 0
+        else:
+            q -= ones
+    return np.flatnonzero(np.cumsum(marks[:-1], dtype=np.int8) == 0)
+
+
+def run_pipeline_whole(n, cfg, seed, mode):
+    """run_pipeline's stream and drops by stage, with every stage run over whole columns."""
+    sampler = sample_pairs_whole if mode == "ideal" else sample_pairs_physical_whole
+    stream, undetected = sampler(n, cfg, seed)
+    t, a, b = stream.t, stream.a, stream.b
+    b = double_count_whole(b, cfg.double_count_prob, seed)
+    kept, dropped_dead, dropped_demon = np.arange(len(t)), 0, 0
+    if cfg.dead_time_Td > 0:
+        kept = dead_time_whole(t, cfg.dead_time_Td)
+        dropped_dead = len(t) - kept.size
+    if cfg.demon_rho is not None:
+        z = (a ^ b)[kept]
+        survivors = demon_whole(z, cfg.demon_rho)
+        dropped_demon = z.size - survivors.size
+        kept = kept[survivors]
+    return PairStream(t[kept], a[kept], b[kept]), (undetected, dropped_dead, dropped_demon)
+
+
 def sample_pairs_stacked(n, cfg, seed) -> PairStream:
     """Ideal-mode pairs from stacked (n, 4) cell weights and their cumsum, the oracle
     for sample_pairs."""
-    rng, times = _arrival_times(n, cfg, seed)
+    rng, times = arrival_times_whole(n, cfg, seed)
     e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T
     s = math.sin(cfg.theta) ** 2
     c = math.cos(cfg.theta) ** 2
@@ -111,7 +216,7 @@ def sample_pairs_stacked(n, cfg, seed) -> PairStream:
 def sample_pairs_physical_stacked(n, cfg, seed) -> PairStream:
     """Detected physical-mode pairs from the (n, 4) efficiencies, the oracle for
     sample_pairs_physical."""
-    rng, times = _arrival_times(n, cfg, seed)
+    rng, times = arrival_times_whole(n, cfg, seed)
     a = (rng.random(n) < 0.5).astype(np.uint8)
     b = a ^ (rng.random(n) < math.sin(cfg.theta) ** 2).astype(np.uint8)
     e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from qrngkit import (
     write_stream_ndjson,
     xor_distribution,
 )
+from qrngkit import cli
 from qrngkit.cli import GRID_CAP, main, parse_angle, parse_count
 
 
@@ -588,7 +590,7 @@ def test_sweep_checks_the_last_point_seed_before_any_draw(tmp_path, capsys, monk
     def must_not_run(*args, **kwargs):
         raise AssertionError("a point was drawn before the sweep's arguments were checked")
 
-    monkeypatch.setattr("qrngkit.cli.run_pipeline", must_not_run)
+    monkeypatch.setattr("qrngkit.cli._pipeline_chunks", must_not_run)
     assert run_cli("sweep", "--grid", "0:pi/2:9", "--empirical", pairs, "--seed", seed,
                    "--out-dir", tmp_path / "out") == code
     err = capsys.readouterr().err
@@ -632,18 +634,33 @@ def test_sweep_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     outputs = []
-    for cpus, pair_cap in ((1, None), (4, None), (4, 2 * 20_000)):
+    for cpus, pair_cap in ((1, None), (4, None), (4, 20_000)):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         if pair_cap is not None:
-            monkeypatch.setattr("qrngkit.cli.PAIR_CAP", pair_cap)
+            monkeypatch.setattr("qrngkit.simulate.PAIR_CAP", pair_cap)
         out = tmp_path / f"cpus{cpus}-cap{pair_cap}"
         assert run_cli("sweep", "--grid", "0:pi/2:5", "--empirical", 20_000, "--config", config,
                        "--out-dir", out) == 0
         sweep = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
         assert sweep == RUN_DIGESTS["sweep", "sweep.csv"]
         outputs.append((out / "manifest.json").read_bytes())
-    assert pools == [1, 4, 2]
+    # a point holds one chunk, not its pairs, so the pair budget leaves the worker count alone
+    assert pools == [1, 4, 4]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_sweep_point_holds_one_chunk_whatever_its_pair_count():
+    cfg = QrngConfig.from_dict(IMPERFECT_CONFIG)
+    peaks = []
+    for n in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            cli._agreement(n, cfg, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # whole columns took about 32 B per pair, 64 MB at the larger count
+    assert peaks[1] < peaks[0] + 3e6, peaks
 
 
 def test_sweep_needs_a_grid(tmp_path):

@@ -17,6 +17,7 @@ from helpers import (
     demon_kept_loop,
     double_count_loop,
     random_configs,
+    run_pipeline_whole,
     sample_pairs_physical_stacked,
     sample_pairs_stacked,
 )
@@ -489,11 +490,10 @@ def test_pipeline_equals_the_composed_oracles(mode, cfg_index):
     assert min(drops[1:]) > 0 and (mode == "ideal") == (drops[0] == 0)
 
 
-def test_pipeline_builds_one_stream_after_sampling(monkeypatch, skewed_cfg):
+def test_pipeline_builds_one_stream_from_its_chunks(monkeypatch, skewed_cfg):
     cfg = dataclasses.replace(skewed_cfg, double_count_prob=0.05, dead_time_Td=0.3, demon_rho=0.5)
     expected = run_pipeline(20_000, cfg, seed=34)
-    sampled = sample_pairs(20_000, cfg, seed=34)
-    monkeypatch.setattr(simulate, "sample_pairs", lambda *args: sampled)
+    monkeypatch.setattr(simulate, "_CHUNK", 7_000)
     calls, built = [], []
 
     def recorded(name):
@@ -505,7 +505,7 @@ def test_pipeline_builds_one_stream_after_sampling(monkeypatch, skewed_cfg):
 
         return call
 
-    for name in ("apply_double_counting", "dead_time_filter"):
+    for name in ("_double_count_chunk", "_dead_time_chunk", "_demon_chunk"):
         monkeypatch.setattr(simulate, name, recorded(name))
 
     class Spy(PairStream):
@@ -515,28 +515,61 @@ def test_pipeline_builds_one_stream_after_sampling(monkeypatch, skewed_cfg):
 
     monkeypatch.setattr(simulate, "PairStream", Spy)
     r = run_pipeline(20_000, cfg, seed=34)
-    assert calls == ["apply_double_counting", "dead_time_filter"]
+    # three chunks of 7,000 pairs: each stage runs once per chunk, and one stream is built
+    assert sorted(calls) == sorted(["_double_count_chunk", "_dead_time_chunk", "_demon_chunk"] * 3)
     assert len(built) == 1
     assert r.records == expected.records and r.counters() == expected.counters()
 
 
 @pytest.mark.parametrize("p_dc", [0.0, 0.05])
-def test_pipeline_without_filters_gathers_nothing(monkeypatch, skewed_cfg, p_dc):
+def test_pipeline_runs_no_stage_that_is_off(monkeypatch, skewed_cfg, p_dc):
     cfg = dataclasses.replace(skewed_cfg, double_count_prob=p_dc)
-    sampled = sample_pairs(5_000, cfg, seed=35)
-    monkeypatch.setattr(simulate, "sample_pairs", lambda *args: sampled)
 
     def no_call(*args):
         raise AssertionError("a stage that is off ran")
 
-    monkeypatch.setattr(simulate, "dead_time_filter", no_call)
-    monkeypatch.setattr(simulate, "_demon_kept_indices", no_call)
+    monkeypatch.setattr(simulate, "_dead_time_chunk", no_call)
+    monkeypatch.setattr(simulate, "_demon_chunk", no_call)
     if p_dc == 0.0:
-        monkeypatch.setattr(simulate, "apply_double_counting", no_call)
+        monkeypatch.setattr(simulate, "_double_counted", no_call)
     r = run_pipeline(5_000, cfg, seed=35)
-    assert r.records.t is sampled.records.t and r.records.a is sampled.records.a
-    assert (r.records is sampled.records) == (p_dc == 0.0)
+    sampled = sample_pairs(5_000, cfg, seed=35).records
+    assert np.array_equal(r.records.t, sampled.t) and np.array_equal(r.records.a, sampled.a)
+    assert np.array_equal(r.records.b, sampled.b) == (p_dc == 0.0)
     assert r.dropped_dead_time == r.dropped_demon == 0
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A mode, a config with each stage on or off, and the edges where chunks must carry:
+    tied times, runs of ones at theta 0 and pi/2, certain double counting, slow demons."""
+    theta = draw(st.sampled_from([0.0, math.pi / 2, math.pi / 5, 1.1]))
+    eff = [draw(st.floats(0.05, 1.0)) for _ in range(4)]
+    drift = None
+    if draw(st.booleans()):
+        amps = tuple(0.9 * min(e, 1.0 - e) for e in eff)
+        drift = DriftSpec(amps, draw(st.floats(2.0, 200.0)), (0.0, 0.5, 2.5, 0.5))
+    cfg = QrngConfig(
+        theta, *eff, drift=drift,
+        mean_pair_interval=draw(st.sampled_from([1.0, 5e-324, 1e-322])),
+        double_count_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        dead_time_Td=draw(st.sampled_from([0.0, 0.3, 1.5, 5e-324, 1e-321])),
+        demon_rho=draw(st.sampled_from([None, 0.5, 0.8, 0.95])),
+    )
+    mode = draw(st.sampled_from(["ideal", "physical"]))
+    return mode, cfg, draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pipeline_cases(), st.sampled_from([1, 2, 3, 7, 64]))
+def test_chunked_stages_equal_the_whole_column_oracle(case, chunk):
+    mode, cfg, n, seed = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_CHUNK", chunk)
+        r = run_pipeline(n, cfg, seed, mode=mode)
+    stream, drops = run_pipeline_whole(n, cfg, seed, mode)
+    assert r.records == stream
+    assert (r.dropped_undetected, r.dropped_dead_time, r.dropped_demon) == drops
 
 
 def test_pipeline_deterministic(skewed_cfg):
