@@ -5,7 +5,8 @@ uint8 array of 0/1 values. Position 0 is the leftmost bit, so ``"0010101110"``
 is ``[0, 0, 1, 0, 1, 0, 1, 1, 1, 0]``; read as an integer, the leftmost bit
 is the most significant. The class only converts: text or a numpy array in,
 the same out. ``from_array`` copies its input and ``to_array`` hands out the
-stored array itself, so every extractor reads the bits without a copy. The
+stored array itself, so every extractor reads the bits without a copy; the
+private ``_adopt`` takes over a fresh array its caller has made 0/1. The
 XOR of two strings is `extractors.xor_offset`; its count of ones is
 ``.count(1)``.
 """
@@ -55,8 +56,14 @@ class BitString:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitString":
         """Build from a copy of a numpy array of 0/1 values (any dtype)."""
+        return cls._adopt(_as_bits(arr, "a bit array").copy())
+
+    @classmethod
+    def _adopt(cls, bits: np.ndarray) -> "BitString":
+        """Build over ``bits`` itself, without a copy: a 1-d uint8 array of 0/1 values,
+        fresh, that its caller made so and hands over."""
         out = cls.__new__(cls)
-        out._bits = _frozen(_as_bits(arr, "a bit array").copy())
+        out._bits = _frozen(bits)
         return out
 
     def __len__(self) -> int:

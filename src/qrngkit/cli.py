@@ -38,7 +38,8 @@ from .exact import (
 from .extractors import ExtractionOutput, pair_von_neumann, peres, von_neumann, xor_offset
 from .fileio import (
     read_bits,
-    read_stream_ndjson,
+    read_stream_ndjson,  # the whole-stream reader; benchmarks/run.py traces cli.read_stream_ndjson
+    read_stream_outcomes,
     write_bits,
     write_deviation_csv,
     write_distribution_csv,
@@ -194,8 +195,7 @@ def _extract_source(args):
         got = " and ".join(_EXTRACT_SOURCES[dest] for dest in given) or "no input"
         raise UsageError(f"method {args.method} reads --stream or {wanted}, got {got}")
     if given == ("stream",):
-        stream = read_stream_ndjson(args.stream)
-        x, y = stream.plus_string(), stream.times_string()
+        x, y = read_stream_outcomes(args.stream)
         return given, (x, y) if two_sided else (xor_offset(x, y, 0),)
     return given, tuple(read_bits(getattr(args, dest)) for dest in files)
 
@@ -247,10 +247,9 @@ def cmd_analyze(args) -> tuple:
     alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
     results: dict = {}
     if args.stream is not None:
-        stream = read_stream_ndjson(args.stream)
-        if not len(stream):
+        x, y = read_stream_outcomes(args.stream)
+        if not len(x):
             raise UsageError(f"stream {args.stream} holds 0 records; the tests need bits")
-        x, y = stream.plus_string(), stream.times_string()
         bits = xor_offset(x, y, 0)
         results["correlation"] = correlation_estimate(x, y)
         if len(x) >= 10_000:

@@ -58,7 +58,7 @@ def xor_offset(x: BitString, y: BitString, j: int = 0) -> BitString:
     if not 0 <= j < max(len(x), 1):
         raise UsageError(f"offset must satisfy 0 <= j < {max(len(x), 1)}, got {j}")
     n = len(x) - j
-    return BitString.from_array(x.to_array()[:n] ^ y.to_array()[j:])
+    return BitString._adopt(x.to_array()[:n] ^ y.to_array()[j:])  # fresh, and 0/1 as x and y are
 
 
 def _pairs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,10 @@ which parses each line as a JSON object with orjson.loads: it reads the
 forms the format allows but the writer never emits, and it names the line
 of a bad record. orjson recurses on nesting, and a deep one overflows the C
 stack, so both paths check that no record nests (_flat) before orjson sees a
-byte. Only the stream functions import orjson.
+byte. Each block's order is checked against the block before it, and an
+order error is raised only after the last block parses, so a malformed
+record anywhere is the one reported. read_stream_outcomes keeps the outcome
+columns alone. Only the stream functions import orjson.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "read_bits",
     "write_stream_ndjson",
     "read_stream_ndjson",
+    "read_stream_outcomes",
     "write_json",
     "write_distribution_csv",
     "write_deviation_csv",
@@ -118,7 +122,7 @@ def read_bits(path) -> BitString:
 # the general path, _parse_records, reads spaces, CRLF, other key orders and
 # blank lines, and names a bad line.
 _WRITE_CHUNK = 1 << 16
-_READ_CHUNK = 1 << 22
+_READ_CHUNK = 1 << 18
 # A writer line is under 40 bytes; the reader refuses to carry more than this
 # past the last newline, so a file without newlines cannot fill memory.
 _LINE_CAP = 1 << 20
@@ -268,8 +272,13 @@ def _blocks(fh, path):
         yield lineno, b"".join(rest) + b"\n"
 
 
-def read_stream_ndjson(path) -> PairStream:
-    chunks = []
+def _checked_blocks(path):
+    """The columns (t, a, b) of the stream's blocks, each block's records checked as it
+    parses and their order checked across blocks. A malformed record raises at its line
+    at once; the first record that is negative or not above the one before raises at its
+    line only after the last block parses, so a malformed record anywhere comes first."""
+    # the float just below 0: a first time lies above it exactly when it is non-negative
+    last, before, unordered = -5e-324, 0, None
     with open(path, "rb") as fh:
         for lineno, block in _blocks(fh, path):
             cols = _parse_canonical(block)
@@ -284,17 +293,36 @@ def read_stream_ndjson(path) -> PairStream:
                         f"{path}:{lineno + bad}: expected a {{t,a,b}} record with a finite "
                         "number t and a, b each 0 or 1"
                     ) from None
-            chunks.append(cols)
+            t = cols[0]
+            if unordered is None and t.size:
+                in_order = t > np.append(last, t[:-1])
+                if not in_order.all():
+                    unordered = before + int(np.argmin(in_order))
+                last = t[-1]
+            before += t.size
+            yield cols
+    if unordered is not None:
+        raise InputFormatError(f"{path}:{_record_line(path, unordered)}: "
+                               "record times must be non-negative and strictly increasing")
+
+
+def read_stream_ndjson(path) -> PairStream:
+    chunks = list(_checked_blocks(path))
     t, a, b = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
     del chunks  # the blocks' columns, before PairStream's checks take their own temporaries
-    try:
-        return PairStream(t, a, b)
-    except UsageError as exc:
-        # Records are checked one by one above, so only their order can fail:
-        # name the first time that is negative or not above the one before.
-        in_order = np.concatenate(([t[0] >= 0], t[1:] > t[:-1]))
-        line = _record_line(path, int(np.argmin(in_order)))
-        raise InputFormatError(f"{path}:{line}: {exc}") from None
+    return PairStream(t, a, b)
+
+
+def read_stream_outcomes(path) -> tuple[BitString, BitString]:
+    """The plus and times strings of the stream, its a and b columns, checked as
+    read_stream_ndjson checks it. Each block's times are dropped as it parses, so
+    the read holds the outcome bits alone, 2 B a record, and the strings take over
+    the buffers they were gathered in."""
+    a, b = bytearray(), bytearray()
+    for _, a_block, b_block in _checked_blocks(path):
+        a += a_block.data
+        b += b_block.data
+    return tuple(BitString._adopt(np.frombuffer(c, dtype=np.uint8)) for c in (a, b))
 
 
 # --- JSON and CSV reports ---------------------------------------------------------

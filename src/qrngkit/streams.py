@@ -27,7 +27,7 @@ class PairStream:
             raise UsageError("stream columns must be 1-d and equally long")
         if not np.isfinite(t).all():
             raise UsageError("record times must be finite")
-        if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
+        if t.size and (t[0] < 0 or (t[1:] <= t[:-1]).any()):
             raise UsageError("record times must be non-negative and strictly increasing")
         self.t = t
         self.a = a

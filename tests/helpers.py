@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,17 @@ def random_configs(count, seed):
 def chi2_against(counts, probs) -> float:
     """p-value of the chi-squared fit of observed counts to given cell masses."""
     return _chi2(counts, probs)[1]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes tracemalloc saw it hold; numpy
+    reports its buffers to tracemalloc, so array columns count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def coin_flips(key: int, n: int, p: float = 0.5) -> np.ndarray:

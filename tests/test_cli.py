@@ -9,7 +9,6 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import BAD_CONFIG_TEXTS, coin_flips
+from helpers import BAD_CONFIG_TEXTS, coin_flips, traced_peak
 from qrngkit import (
     BitString,
     PairStream,
@@ -440,6 +439,20 @@ def test_pinned_bytes_hold_at_baseline_simd():
     assert "3 passed" in child.stdout
 
 
+def test_extract_from_a_stream_holds_the_outcome_bits_alone(tmp_path):
+    peaks = []
+    for n in (200_000, 1_000_000):
+        times = np.cumsum(np.random.default_rng(n).exponential(1e-6, n))
+        stream = tmp_path / f"s{n}.ndjson"
+        write_stream_ndjson(stream, PairStream(times, coin_flips(1, n), coin_flips(2, n)))
+        code, peak = traced_peak(run_cli, "extract", "--method", "xor", "--stream", stream,
+                                 "--out-dir", tmp_path / f"o{n}")
+        assert code == 0
+        peaks.append(peak)
+    # the whole PairStream, times included, took about 15 B per record
+    assert (peaks[1] - peaks[0]) / 800_000 < 4, peaks
+
+
 @pytest.mark.parametrize("method", ["xor", "vn", "peres", "pair-vn"])
 def test_extract_from_an_empty_stream_writes_no_bits(tmp_path, method):
     empty = np.zeros(0, dtype=np.uint8)
@@ -653,12 +666,7 @@ def test_a_sweep_point_holds_one_chunk_whatever_its_pair_count():
     cfg = QrngConfig.from_dict(IMPERFECT_CONFIG)
     peaks = []
     for n in (200_000, 2_000_000):
-        tracemalloc.start()
-        try:
-            cli._agreement(n, cfg, 1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(cli._agreement, n, cfg, 1)[1])
     # whole columns took about 32 B per pair, 64 MB at the larger count
     assert peaks[1] < peaks[0] + 3e6, peaks
 

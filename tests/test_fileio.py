@@ -21,6 +21,7 @@ from qrngkit import (
     UsageError,
     read_bits,
     read_stream_ndjson,
+    read_stream_outcomes,
     write_bits,
     write_deviation_csv,
     write_distribution_csv,
@@ -283,6 +284,7 @@ def test_stream_round_trip_across_chunk_boundaries(tmp_path, small_chunks):
         write_stream_ndjson(p, s)
         assert p.read_bytes() == _reference_ndjson(s)
         assert read_stream_ndjson(p) == s
+        assert read_stream_outcomes(p) == (s.plus_string(), s.times_string())
 
 
 def test_bad_record_in_second_chunk_reports_file_line_number(tmp_path, small_chunks):
@@ -312,6 +314,37 @@ def test_unordered_time_reports_file_line_number(tmp_path, small_chunks, times, 
     p.write_text("\n".join(["", " ", *lines]) + "\n")
     with pytest.raises(InputFormatError, match=rf"s\.ndjson:{line}: record times"):
         read_stream_ndjson(p)
+
+
+def _blocks_of_three(monkeypatch, path, times, b=(1,) * 9):
+    """Write records of 22 bytes each and read in blocks of exactly three of them."""
+    path.write_bytes(b"".join(b'{"t":%.1f,"a":0,"b":%d}\n' % tb for tb in zip(times, b)))
+    monkeypatch.setattr(fileio, "_READ_CHUNK", 66)
+    with open(path, "rb") as fh:
+        assert [block.count(b"\n") for _, block in fileio._blocks(fh, path)] == [3] * 3
+
+
+@pytest.mark.parametrize("times", [
+    [0.5, 1.5, 2.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5],  # a block's first time equals the last before
+    [0.5, 1.5, 2.5, 1.5, 3.5, 4.5, 5.5, 6.5, 7.5],  # and lies below it
+])
+def test_order_is_checked_across_block_boundaries(tmp_path, monkeypatch, times):
+    p = tmp_path / "s.ndjson"
+    _blocks_of_three(monkeypatch, p, times)
+    for reader in (read_stream_ndjson, read_stream_outcomes):
+        with pytest.raises(InputFormatError, match=r"s\.ndjson:4: record times"):
+            reader(p)
+
+
+def test_a_malformed_record_in_a_later_block_is_reported_before_an_order_break(
+        tmp_path, monkeypatch):
+    p = tmp_path / "s.ndjson"
+    # an order break on line 3, in the first block; an outcome 2 on line 8, in the third
+    _blocks_of_three(monkeypatch, p, [0.5, 2.5, 1.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5],
+                     b=(1,) * 7 + (2, 1))
+    for reader in (read_stream_ndjson, read_stream_outcomes):
+        with pytest.raises(InputFormatError, match=r"s\.ndjson:8: expected a \{t,a,b\} record"):
+            reader(p)
 
 
 @pytest.mark.parametrize("blank", range(8))
@@ -416,11 +449,13 @@ def _agree_with_oracle(path):
     try:
         expected = read_stream_per_line(path)
     except InputFormatError as exc:
-        with pytest.raises(InputFormatError) as got:
-            read_stream_ndjson(path)
-        assert str(got.value).split(": ")[0] == str(exc).split(": ")[0]
+        for reader in (read_stream_ndjson, read_stream_outcomes):
+            with pytest.raises(InputFormatError) as got:
+                reader(path)
+            assert str(got.value).split(": ")[0] == str(exc).split(": ")[0], reader.__name__
     else:
         assert read_stream_ndjson(path) == expected
+        assert read_stream_outcomes(path) == (expected.plus_string(), expected.times_string())
 
 
 @settings(max_examples=400, deadline=None,

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +11,7 @@ from helpers import (
     arrival_times_forward,
     chi2_against,
     coin_flips,
+    traced_peak,
     NON_BIT_ARRAYS,
     dead_time_keep_loop,
     demon_kept_loop,
@@ -74,6 +74,14 @@ def test_stream_refuses_outcomes_a_cast_would_coerce(values, column):
     cols = {"a": bits, "b": bits, column: np.array(values)}
     with pytest.raises(UsageError, match="outcome columns must be"):
         PairStream(np.arange(float(len(values))), cols["a"], cols["b"])
+
+
+def test_stream_checks_its_order_without_a_per_record_float():
+    n = 1_000_000
+    t, bits = np.arange(float(n)), np.zeros(n, np.uint8)
+    _, peak = traced_peak(PairStream, t, bits, bits)
+    # a float array of the steps between times took 8 MB; the checks' bool masks take 1 MB each
+    assert peak < 2.5e6, peak
 
 
 def test_stream_access():
@@ -177,12 +185,7 @@ def test_sampler_holds_no_per_pair_table(skewed_cfg, drift):
         assert all(type(e) is float for e in cfg.efficiency_columns(np.arange(3.0)))
     n = 2**18
     for sampler in (sample_pairs, sample_pairs_physical):
-        tracemalloc.start()
-        try:
-            sampler(n, cfg, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(sampler, n, cfg, 1)
         # the result's t, a and b take 10 B per pair; four whole efficiency columns alone take 32
         assert peak / n < 48, sampler.__name__
 

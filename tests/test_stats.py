@@ -1,12 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import coin_flips
+from helpers import coin_flips, traced_peak
 from qrngkit import (
     BitString,
     DriftSpec,
@@ -25,6 +24,7 @@ from qrngkit import (
     xor_distribution,
     xor_offset,
 )
+from qrngkit import stats
 from qrngkit.stats import _chi2
 
 
@@ -109,6 +109,18 @@ def test_chi2_accepts_fair_coin_across_block_sizes():
         r = chi2_uniformity(z, k)
         assert r.passed, f"k={k} p={r.p_value}"
         assert r.p_value > 0.001
+
+
+def test_block_counts_over_slices_equal_one_whole_bincount(monkeypatch):
+    monkeypatch.setattr(stats, "_COUNT_SLICE", 5)
+    bits = coin_flips(key=17, n=8 * 16 + 7)
+    for k in range(1, 9):
+        for blocks in (0, 1, 4, 5, 6, 9, 10, 11, 16):  # about the slice boundaries at 5 and 10
+            z = bits[: blocks * k + k - 1]  # and a partial block, which is dropped
+            values = z[: blocks * k].reshape(blocks, k) @ (1 << np.arange(k - 1, -1, -1))
+            whole = np.bincount(values, minlength=1 << k)
+            got = stats._block_counts(bs(z), k)
+            assert got.dtype == whole.dtype and np.array_equal(got, whole), (k, blocks)
 
 
 def test_chi2_to_dict_round_trip():
@@ -331,13 +343,11 @@ def test_empirical_distribution_guards():
 @pytest.mark.parametrize("n", [23, 64])
 def test_empirical_distribution_refuses_laws_past_the_dense_cap(n):
     # 2^23 float64 cells would take 64 MB; the refusal comes before any of it
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ResourceBudgetError):
             empirical_distribution(np.array([0, 1, 2]), n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1 << 20
 
 
