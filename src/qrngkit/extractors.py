@@ -89,7 +89,7 @@ def peres(z: BitString, depth: int = 4) -> ExtractionOutput:
         raise UsageError(f"depth must be an integer, got {depth!r}")
     if depth < 1:
         raise UsageError("depth must be at least 1")
-    bits = BitString.from_array(_peres(z.to_array(), depth))
+    bits = BitString._adopt(_peres(z.to_array(), depth))  # fresh, 0/1 and uint8 as z is
     return ExtractionOutput(bits, len(z))
 
 
@@ -107,5 +107,5 @@ def pair_von_neumann(x: BitString, y: BitString) -> ExtractionOutput:
     if len(x) != len(y):
         raise UsageError("pair_von_neumann needs equal-length inputs")
     first, second = _pairs(2 * x.to_array() + y.to_array())
-    bits = BitString.from_array((first > second)[first != second])
+    bits = BitString._adopt((first > second)[first != second].view(np.uint8))  # fresh bools
     return ExtractionOutput(bits, len(x))

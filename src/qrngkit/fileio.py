@@ -104,13 +104,13 @@ def read_bits(path) -> BitString:
     if len(text) == n:
         bits = np.frombuffer(text, dtype=np.uint8) - np.uint8(ord("0"))
         if (bits <= 1).all():  # a byte below '0' wraps round to 208 or more
-            return BitString.from_array(bits)
+            return BitString._adopt(bits)
     packed = -(-n // 8)  # integer ceiling: n / 8 overflows a float for huge headers
     if len(payload) == packed:
         arr = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
         if arr[n:].any():
             raise InputFormatError(f"{path}: nonzero padding after bit {n} of the packed payload")
-        return BitString.from_array(arr[:n])
+        return BitString._adopt(arr[:n])  # fresh, and 0/1 as unpacked bits are
     raise InputFormatError(f"{path}: payload is neither {n} ascii bits nor {packed} packed bytes")
 
 

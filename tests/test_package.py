@@ -1,12 +1,17 @@
+import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import qrngkit
 from qrngkit import bitstring, config, errors, exact, extractors, fileio, simulate, stats, streams
 
 MODULES = (bitstring, config, errors, exact, extractors, fileio, simulate, stats, streams)
-BENCH_RUN = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_RUN = ROOT / "benchmarks" / "run.py"
 
 
 def test_package_exports_exactly_its_modules_public_names():
@@ -38,3 +43,20 @@ def test_every_name_the_benchmark_traces_is_a_callable(monkeypatch):
     assert recorder.wrapped
     for module, attr, name in recorder.wrapped:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} (span {name})"
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    # every third-party package the source imports, lazy imports too, is declared, and
+    # nothing else is: a test-only package (scipy, the chi-squared oracle) stays out
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in (ROOT / "src" / "qrngkit").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]}
+    assert third_party == declared == {"numpy", "orjson"}

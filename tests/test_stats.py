@@ -45,6 +45,25 @@ def test_chi2_matches_closed_form_tails():
     assert p == pytest.approx(math.exp(-2.5), rel=1e-13)
 
 
+@pytest.mark.parametrize("df", [1, 2, 3, 7, 14, 15, 31, 63, 127, 255])
+def test_chi2_tail_matches_scipy_gammaincc(df):
+    # scipy is a test-only oracle: the package computes the tail in closed form
+    gammaincc = pytest.importorskip("scipy.special").gammaincc
+    rng = np.random.default_rng(df)
+    grid = np.concatenate([[0.0, 1e-300, 1e-12], rng.uniform(0, 4 * df + 50, 2000),
+                           rng.exponential(df, 2000)])
+    for stat in grid:
+        p, oracle = stats._chi2_tail(df, float(stat)), float(gammaincc(df / 2, stat / 2))
+        assert p <= 1.0
+        if oracle > 1e-300:
+            assert p == pytest.approx(oracle, rel=1e-12), stat
+    assert stats._chi2_tail(df, 0.0) == 1.0
+    # uncapped, the sum rounds over 1 at one of these for df >= 31 (stat 0.2508...)
+    for tiny in [5e-324, *np.geomspace(1e-300, 1.0, 1000)]:
+        assert stats._chi2_tail(df, float(tiny)) <= 1.0
+    assert stats._chi2_tail(df, math.inf) == 0.0
+
+
 @pytest.mark.parametrize("probs", [
     [0.5, 0.5, 0.0],  # one mass short of the counts
     [0.5, 0.5, 0.0, 0.0],  # a zero mass divides by zero
