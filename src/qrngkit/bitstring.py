@@ -23,7 +23,9 @@ __all__ = ["BitString"]
 def _as_bits(arr, what: str) -> np.ndarray:
     """``arr`` as 1-d uint8, refusing any value but 0 and 1 before the cast could coerce it."""
     arr = np.asarray(arr)
-    if arr.ndim != 1 or not ((arr == 0) | (arr == 1)).all():
+    # uint8 is 0/1 exactly when its maximum is, which takes no whole temporary
+    if arr.ndim != 1 or not (arr.max(initial=0) <= 1 if arr.dtype == np.uint8
+                             else ((arr == 0) | (arr == 1)).all()):
         raise UsageError(f"{what} must be a 1-d array of 0/1 values")
     return np.ascontiguousarray(arr, dtype=np.uint8)
 

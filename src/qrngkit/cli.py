@@ -3,9 +3,10 @@
 Subcommands wire the exact engine, the simulator, the extractors and the
 test suite into file-based experiments. Every run writes a manifest.json
 echoing the full effective parameter set (seeds included), so any output can
-be regenerated from its manifest alone. A subcommand only computes; main
-alone writes, after it returns. So the manifest lists exactly the files the
-run wrote, and a refused run creates no output directory.
+be regenerated from its manifest alone. A subcommand only computes, and
+refuses a bad run before it returns; main alone writes, after it returns
+(simulate's stream is drawn as main writes it). So the manifest lists exactly
+the files the run wrote, and a refused run creates no output directory.
 
 Exit codes: 0 success, 2 usage error, 3 resource budget exceeded, 4
 malformed input file.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -48,7 +50,8 @@ from .fileio import (
     write_stream_ndjson,
     write_sweep_csv,
 )
-from .simulate import _check_n, _generator, _pipeline_chunks, demon_filter, demon_modulus, run_pipeline
+from .simulate import _check_n, _generator, _pipeline_chunks, _tallied, demon_filter, demon_modulus
+from .simulate import run_pipeline  # no command calls it; benchmarks/run.py traces cli.run_pipeline
 from .stats import (
     DEFAULT_ALPHA,
     _check_alpha,
@@ -57,6 +60,7 @@ from .stats import (
     correlation_estimate,
     estimate_theta,
 )
+from .streams import PairStream
 
 __all__ = ["main", "parse_angle", "parse_count"]
 
@@ -138,7 +142,8 @@ def _refuse_unread(args, reason: str, *dests: str) -> None:
 # --- subcommands -----------------------------------------------------------------
 # Each returns (params, results, artifacts, lines) and writes nothing: the
 # manifest's params and results, its files as {name: (writer, *data)} in write
-# order, and its stdout lines. main does every write.
+# order, and its stdout lines. main does every write; data drawn as it is
+# written may fill in results and lines, which main reads only after the writes.
 
 
 def cmd_exact(args) -> tuple:
@@ -165,13 +170,18 @@ def cmd_simulate(args) -> tuple:
             "demon_rho": args.demon,
         },
     )
-    result = run_pipeline(args.pairs, cfg, args.seed, mode=args.mode)
-    c = result.counters()
+    # every refusal comes from _pipeline_chunks, before main writes; the stream is drawn
+    # as main writes it, which fills in the counters before main writes the manifest
+    counters: dict = {}
+    chunks = _tallied(_pipeline_chunks(args.pairs, cfg, args.seed, args.mode),
+                      args.pairs, args.seed, counters)
     return (
         {"pairs": args.pairs, "seed": args.seed, "mode": args.mode, "config": cfg.to_dict()},
-        c,
-        {"stream.ndjson": (write_stream_ndjson, result.records)},
-        [f"kept {c['kept']} of {c['generated']} pairs -> {Path(args.out_dir) / 'stream.ndjson'}"],
+        counters,
+        {"stream.ndjson": (write_stream_ndjson, itertools.starmap(PairStream, chunks))},
+        # formed as main prints it, after the write
+        (f"kept {c['kept']} of {c['generated']} pairs -> {Path(args.out_dir) / 'stream.ndjson'}"
+         for c in [counters]),
     )
 
 

@@ -14,12 +14,14 @@ and double counting stage 1. The draw order is part of the contract:
 `run_pipeline` chains the configured imperfections in fixed order: sampling,
 double counting, dead-time filtering, demon filtering. Every stage runs over
 chunks of at most _CHUNK records and carries O(1) state from one chunk to the
-next, so a run holds one chunk at a time until `run_pipeline` joins the kept
-records, and the chunks draw exactly what one whole draw would. Each stage
-after sampling returns only its decision, a new times column or the indices
-it keeps, and the kept columns are gathered once per chunk. The demon acts on
-the offset-0 XOR bit of each record, so rejected bits drop whole records. The
-public stage functions are the chunk functions run over one whole input.
+next, so a run holds one chunk at a time, and the chunks draw exactly what one
+whole draw would. `run_pipeline` copies the kept records of each chunk into
+one set of n-long columns as it comes; `simulate` writes each chunk as it is
+drawn. Each stage after sampling returns only its decision, a new times
+column or the indices it keeps, and the kept columns are gathered once per
+chunk. The demon acts on the offset-0 XOR bit of each record, so rejected
+bits drop whole records. The public stage functions are the chunk functions
+run over one whole input.
 """
 
 from __future__ import annotations
@@ -60,23 +62,24 @@ class SimulationResult:
     seed: int
 
     def __post_init__(self):
-        lost = self.dropped_undetected + self.dropped_dead_time + self.dropped_demon
-        if len(self.records) + lost != self.generated:
-            raise UsageError("drop counters do not add up to the generation count")
+        self.counters()  # refuses drop counters that do not add up
 
     def counters(self) -> dict:
-        return {
-            "generated": self.generated,
-            "kept": len(self.records),
-            "dropped_undetected": self.dropped_undetected,
-            "dropped_dead_time": self.dropped_dead_time,
-            "dropped_demon": self.dropped_demon,
-            "seed": self.seed,
-        }
+        return _counters(len(self.records), self.generated, self.dropped_undetected,
+                         self.dropped_dead_time, self.dropped_demon, self.seed)
+
+
+def _counters(kept: int, generated: int, undetected: int, dead: int, demon: int,
+              seed: int) -> dict:
+    """A run's counters, once the kept records and the drops add up to the generation count."""
+    if kept + undetected + dead + demon != generated:
+        raise UsageError("drop counters do not add up to the generation count")
+    return {"generated": generated, "kept": kept, "dropped_undetected": undetected,
+            "dropped_dead_time": dead, "dropped_demon": demon, "seed": seed}
 
 
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
-PAIR_CAP = 2**25  # a joined run peaks near 20 B per pair, so at most about 0.7 GB
+PAIR_CAP = 2**25  # run_pipeline holds 10 B per pair of columns, so at most about 0.34 GB
 _CHUNK = 1 << 16  # records per chunk of every stage, and per tolist() in _scalars
 
 
@@ -109,73 +112,101 @@ def _moved(rng: np.random.Generator, words: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _arrivals(t: np.ndarray, scale: float, carry: tuple) -> tuple:
+    """One chunk's arrival times from its standard exponential gaps ``t``, scaled in place
+    as the exponential of that scale scales them, and the carry (the raw running sum, the
+    last time given out) for the next chunk, (0.0, -inf) before the first. The times are
+    the running sum of the gaps; a time that a too-short gap leaves at or below the one
+    before is set one ulp above it, so the times increase. Overflow is left to the caller."""
+    total, last = carry
+    with np.errstate(over="ignore", invalid="ignore"):
+        t *= scale
+        t[0] += total  # the sum carried in, added as cumsum adds it
+        np.cumsum(t, out=t)
+        total = t[-1]
+        if t[0] <= last or (t[1:] <= t[:-1]).any():
+            # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
+            # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1]),
+            # run on from the last time given out (-inf, below every pattern, at first)
+            shift = np.arange(-1, t.size, dtype=np.int64)
+            u = np.concatenate(([last], t)).view(np.int64) - shift
+            t = (np.maximum.accumulate(u) + shift)[1:].view(np.float64)
+    return t, (total, t[-1])
+
+
 def _sampled(n: int, cfg: QrngConfig, seed: int, mode: str):
     """Stage 0 of ``seed`` as chunks (t, a, b, undetected): n pairs, of which physical
     mode keeps the coincident detections.
 
     The outcome uniforms come after all n gaps, and a ziggurat gap takes a variable
     number of words; so a first pass draws the gaps only to reach the state where the
-    uniforms begin, and the chunks draw the gaps again. The times are the running sum
-    of the gaps. A time that a too-short gap leaves at or below the one before is set
-    one ulp above it, so the times increase.
+    uniforms begin, and the chunks draw the gaps again. The first pass also forms the
+    times, so the two refusals that depend on the draw, which both grow with the time,
+    are checked at the last time when this is called, before the first chunk.
     """
     if mode not in ("ideal", "physical"):
         raise UsageError(f"unknown simulation mode {mode!r}")
     _check_n(n)
     gaps, skip = _generator(seed, _SAMPLING), _generator(seed, _SAMPLING)
-    scratch = np.empty(min(n, _CHUNK))
+    scale, scratch, carry = cfg.mean_pair_interval, np.empty(min(n, _CHUNK)), (0.0, -math.inf)
     for lo in range(0, n, _CHUNK):
-        skip.standard_exponential(out=scratch[: n - lo])  # exponential's words, unscaled
+        _, carry = _arrivals(skip.standard_exponential(out=scratch[: n - lo]), scale, carry)
+    if not math.isfinite(carry[0]):
+        raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
+                         f"{cfg.mean_pair_interval} overflow float64")
+    cfg.efficiency_columns(carry[1])  # refuses a drift phase that overflows at the last time
     # ideal mode reads one uniform column, physical mode four, each n long
     uniforms = [_moved(skip, column * n) for column in range(1 if mode == "ideal" else 4)]
     s = math.sin(cfg.theta) ** 2
-    total, last = 0.0, -math.inf  # the raw running sum, and the last time given out
-    for lo in range(0, n, _CHUNK):
-        t = gaps.exponential(cfg.mean_pair_interval, min(_CHUNK, n - lo))
-        with np.errstate(over="ignore"):
-            t[0] += total  # the sum carried in, added as cumsum adds it
-            np.cumsum(t, out=t)
-        total = t[-1]
-        if not math.isfinite(total):
-            raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
-                             f"{cfg.mean_pair_interval} overflow float64")
-        if t[0] <= last or (np.diff(t) <= 0.0).any():
-            # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
-            # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1]),
-            # run on from the last time given out (-inf, below every pattern, at first)
-            shift = np.arange(lo - 1, lo + t.size, dtype=np.int64)
-            u = np.concatenate(([last], t)).view(np.int64) - shift
-            t = (np.maximum.accumulate(u) + shift)[1:].view(np.float64)
-        last = t[-1]
-        if mode == "ideal":
-            # each record's cells from the efficiencies in force at its time
-            c0, c1, c2, c3 = itertools.accumulate(
-                _cell_weights(cfg.theta, *cfg.efficiency_columns(t)))
-            x = uniforms[0].random(t.size)
-            x *= c3
-            # the sums never fall, so x >= c3 holds only where the cell is already the top one, 3
-            cell = (x >= c0).view(np.uint8)
-            cell += x >= c1
-            cell += x >= c2
-            yield t, cell >> 1, cell & 1, 0
-        else:
-            a = (uniforms[0].random(t.size) < 0.5).view(np.uint8)
-            b = a ^ (uniforms[1].random(t.size) < s).view(np.uint8)
-            e0p, e1p, e0t, e1t = cfg.efficiency_columns(t)
-            detected = uniforms[2].random(t.size) < np.where(a == 0, e0p, e1p)
-            detected &= uniforms[3].random(t.size) < np.where(b == 0, e0t, e1t)
-            yield t[detected], a[detected], b[detected], t.size - int(np.count_nonzero(detected))
+
+    def chunks():
+        carry = (0.0, -math.inf)
+        for lo in range(0, n, _CHUNK):
+            t, carry = _arrivals(gaps.standard_exponential(min(_CHUNK, n - lo)), scale, carry)
+            if mode == "ideal":
+                # each record's cells from the efficiencies in force at its time
+                c0, c1, c2, c3 = itertools.accumulate(
+                    _cell_weights(cfg.theta, *cfg.efficiency_columns(t)))
+                x = uniforms[0].random(t.size)
+                x *= c3
+                # the sums never fall, so x >= c3 only where the cell is already the top one, 3
+                cell = (x >= c0).view(np.uint8)
+                cell += x >= c1
+                cell += x >= c2
+                yield t, cell >> 1, cell & 1, 0
+            else:
+                a = (uniforms[0].random(t.size) < 0.5).view(np.uint8)
+                b = a ^ (uniforms[1].random(t.size) < s).view(np.uint8)
+                e0p, e1p, e0t, e1t = cfg.efficiency_columns(t)
+                detected = uniforms[2].random(t.size) < np.where(a == 0, e0p, e1p)
+                detected &= uniforms[3].random(t.size) < np.where(b == 0, e0t, e1t)
+                undetected = t.size - int(np.count_nonzero(detected))
+                yield t[detected], a[detected], b[detected], undetected
+
+    return chunks()
+
+
+def _tallied(chunks, n: int, seed: int, counters: dict):
+    """The (t, a, b) of ``chunks`` of (t, a, b, drops...), drops in stage order; once the
+    last is out, ``counters`` holds the counters of the run of n pairs, checked to add up."""
+    counts = [0] * 4  # records kept, then the drops by stage
+    for t, a, b, *drops in chunks:
+        for i, count in enumerate((t.size, *drops)):
+            counts[i] += count
+        yield t, a, b
+    counters.update(_counters(counts[0], n, *counts[1:], seed))
 
 
 def _gathered(chunks, n: int, seed: int) -> SimulationResult:
-    """The one result of n pairs from ``chunks`` of (t, a, b, drops...), drops in stage order."""
-    t, a, b, *drops = zip(*chunks)
-    lost = [sum(d) for d in drops] + [0] * (3 - len(drops))
-    # one column at a time, so each column's chunks are freed as soon as it is joined
-    t = np.concatenate(t)
-    a = np.concatenate(a)
-    b = np.concatenate(b)
-    return SimulationResult(PairStream(t, a, b), n, *lost, seed)
+    """The one result of n pairs from ``chunks``: each chunk's columns are copied as it
+    comes into one set of n-long columns, whose filled part the result keeps."""
+    counters, kept, columns = {}, 0, (np.empty(n), np.empty(n, np.uint8), np.empty(n, np.uint8))
+    for chunk in _tallied(chunks, n, seed, counters):
+        for column, part in zip(columns, chunk):
+            column[kept : kept + part.size] = part
+        kept += chunk[0].size
+    del counters["kept"]  # the result counts its records
+    return SimulationResult(PairStream(*(c[:kept] for c in columns)), **counters)
 
 
 def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
@@ -357,8 +388,12 @@ def demon_filter(bits: BitString, rho: float) -> BitString:
 
 def _pipeline_chunks(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal"):
     """`run_pipeline`'s kept records as chunks (t, a, b, undetected, dead, demon), the
-    last three being the chunk's drops by stage."""
-    chunks = _sampled(n, cfg, seed, mode)
+    last three being the chunk's drops by stage. This call raises every refusal."""
+    return _filtered(_sampled(n, cfg, seed, mode), cfg, seed)
+
+
+def _filtered(chunks, cfg: QrngConfig, seed: int):
+    """Sampled ``chunks`` through the stages after sampling, each when it is on."""
     if cfg.double_count_prob > 0:
         chunks = _double_counted(chunks, cfg.double_count_prob, seed)
     dead = None

@@ -7,8 +7,9 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from qrngkit import InputFormatError, PairStream, QrngConfig, demon_modulus
+from qrngkit import DriftSpec, InputFormatError, PairStream, QrngConfig, demon_modulus
 from qrngkit.exact import _cell_weights
 from qrngkit.simulate import _DOUBLE_COUNTING, _SAMPLING, _generator
 from qrngkit.stats import _chi2
@@ -209,6 +210,27 @@ def run_pipeline_whole(n, cfg, seed, mode):
         dropped_demon = z.size - survivors.size
         kept = kept[survivors]
     return PairStream(t[kept], a[kept], b[kept]), (undetected, dropped_dead, dropped_demon)
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A mode, a config with each stage on or off, and the edges where chunks must carry:
+    tied times, runs of ones at theta 0 and pi/2, certain double counting, slow demons."""
+    theta = draw(st.sampled_from([0.0, math.pi / 2, math.pi / 5, 1.1]))
+    eff = [draw(st.floats(0.05, 1.0)) for _ in range(4)]
+    drift = None
+    if draw(st.booleans()):
+        amps = tuple(0.9 * min(e, 1.0 - e) for e in eff)
+        drift = DriftSpec(amps, draw(st.floats(2.0, 200.0)), (0.0, 0.5, 2.5, 0.5))
+    cfg = QrngConfig(
+        theta, *eff, drift=drift,
+        mean_pair_interval=draw(st.sampled_from([1.0, 5e-324, 1e-322])),
+        double_count_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        dead_time_Td=draw(st.sampled_from([0.0, 0.3, 1.5, 5e-324, 1e-321])),
+        demon_rho=draw(st.sampled_from([None, 0.5, 0.8, 0.95])),
+    )
+    mode = draw(st.sampled_from(["ideal", "physical"]))
+    return mode, cfg, draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
 
 
 def sample_pairs_stacked(n, cfg, seed) -> PairStream:

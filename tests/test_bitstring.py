@@ -80,10 +80,13 @@ def test_array_round_trip():
 
 
 def test_from_array_rejects_bad_input():
-    with pytest.raises(UsageError):
-        BitString.from_array(np.array([0, 1, 2], dtype=np.uint8))
-    with pytest.raises(UsageError):
-        BitString.from_array(np.zeros((2, 2), dtype=np.uint8))
+    # uint8 is checked by its maximum, the other dtypes value by value
+    for bad in ([0, 1, 2], [255], [1, 0, 255]):
+        with pytest.raises(UsageError):
+            BitString.from_array(np.array(bad, dtype=np.uint8))
+    for shape in ((2, 2), (0, 3), ()):
+        with pytest.raises(UsageError):
+            BitString.from_array(np.zeros(shape, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("values", NON_BIT_ARRAYS)

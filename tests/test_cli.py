@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import BAD_CONFIG_TEXTS, coin_flips, traced_peak
+from helpers import BAD_CONFIG_TEXTS, coin_flips, pipeline_cases, traced_peak
 from qrngkit import (
     BitString,
     PairStream,
@@ -25,12 +25,14 @@ from qrngkit import (
     demon_filter,
     read_bits,
     read_stream_ndjson,
+    run_pipeline,
     write_bits,
     write_stream_ndjson,
     xor_distribution,
 )
-from qrngkit import cli
+from qrngkit import cli, simulate
 from qrngkit.cli import GRID_CAP, main, parse_angle, parse_count
+from qrngkit.simulate import _generator
 
 
 def run_cli(*argv):
@@ -99,8 +101,9 @@ def test_overflowing_count_is_a_usage_error(tmp_path):
 def test_unbounded_mean_interval_is_a_usage_error(tmp_path, capsys, pairs, interval):
     # an infinite mean, or one whose arrival times overflow, names the field it came from
     assert run_cli("simulate", "--pairs", pairs, "--mean-interval", interval,
-                   "--out-dir", tmp_path) == 2
+                   "--out-dir", tmp_path / "o") == 2
     assert "mean_pair_interval" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --- exact -------------------------------------------------------------------------
@@ -245,6 +248,79 @@ def test_simulate_physical_mode_reports_losses(tmp_path):
     assert m["params"]["mode"] == "physical"
     assert m["results"]["dropped_undetected"] > 0
     assert m["results"]["kept"] + m["results"]["dropped_undetected"] == 2000
+
+
+@pytest.mark.parametrize("mode", ["ideal", "physical"])
+@pytest.mark.parametrize("pairs,interval,period,words", [
+    (100, 1e307, None, "overflow float64"),  # the times overflow in the second chunk
+    (60, 1e306, 1, "drift period 1"),  # the drift phase overflows in the third
+])
+def test_a_refusal_in_a_late_chunk_leaves_no_directory(tmp_path, capsys, monkeypatch, mode,
+                                                       pairs, interval, period, words):
+    # simulate writes each chunk as it is drawn, so the refusals that depend on the draw
+    # must come before the first chunk, or the directory would exist by then
+    monkeypatch.setattr(simulate, "_CHUNK", 8)
+    with np.errstate(over="ignore"):
+        t = np.cumsum(_generator(0, 0).exponential(interval, pairs))
+        late = t if period is None else 2.0 * math.pi * t / period
+    assert np.isfinite(late[:8]).all() and not np.isfinite(late[-1])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({} if period is None else {
+        "e0_plus": 0.9, "e1_plus": 0.9, "e0_times": 0.9, "e1_times": 0.9,
+        "drift": {"amplitudes": [0.05] * 4, "period": period}}))
+    assert run_cli("simulate", "--pairs", pairs, "--mode", mode, "--mean-interval", interval,
+                   "--config", config, "--out-dir", tmp_path / "o") == 2
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("interval", [1.0, 5e-324])
+def test_the_first_pass_ends_at_the_last_time_written(tmp_path, monkeypatch, interval):
+    # both passes form the times by one helper; the first pass's last time is the one
+    # both refusals are checked at, so it must be the stream's last, ties nudged (5e-324)
+    monkeypatch.setattr(simulate, "_CHUNK", 8)
+    carries, arrivals = [], simulate._arrivals
+
+    def recorded(t, scale, carry):
+        t, carry = arrivals(t, scale, carry)
+        carries.append(carry)
+        return t, carry
+
+    monkeypatch.setattr(simulate, "_arrivals", recorded)
+    assert run_cli("simulate", "--pairs", 100, "--mean-interval", interval,
+                   "--out-dir", tmp_path) == 0
+    assert len(carries) == 2 * 13  # 13 chunks of at most 8 in each pass
+    last = read_stream_ndjson(tmp_path / "stream.ndjson").t[-1]
+    assert carries[12][1] == carries[-1][1] == last
+
+
+def test_simulate_holds_one_chunk_whatever_its_pair_count(tmp_path):
+    peaks = []
+    for n in (200_000, 1_000_000):
+        code, peak = traced_peak(run_cli, "simulate", "--pairs", n, "--out-dir", tmp_path / f"o{n}")
+        assert code == 0
+        peaks.append(peak)
+    # the stream joined before the write took about 18 B per pair
+    assert (peaks[1] - peaks[0]) / 800_000 < 1, peaks
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pipeline_cases(), st.sampled_from([1, 3, 64]))
+def test_simulate_writes_the_stream_run_pipeline_returns(tmp_path, capsys, case, chunk):
+    mode, cfg, n, seed = case
+    config, out, whole = tmp_path / "cfg.json", tmp_path / "o", tmp_path / "whole.ndjson"
+    config.write_text(json.dumps(cfg.to_dict()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_CHUNK", chunk)
+        assert run_cli("simulate", "--pairs", n, "--seed", seed, "--mode", mode,
+                       "--config", config, "--out-dir", out) == 0
+    result = run_pipeline(n, cfg, seed, mode=mode)  # at the default chunk size
+    write_stream_ndjson(whole, [result.records])
+    assert (out / "stream.ndjson").read_bytes() == whole.read_bytes()
+    assert read_manifest(out)["results"] == result.counters()
+    line = f"kept {len(result.records)} of {n} pairs -> {out / 'stream.ndjson'}\n"
+    assert capsys.readouterr().out == line
 
 
 def test_manifest_replays_to_identical_output(tmp_path):
@@ -460,7 +536,7 @@ def test_extract_from_a_stream_holds_the_outcome_bits_alone(tmp_path):
     for n in (200_000, 1_000_000):
         times = np.cumsum(np.random.default_rng(n).exponential(1e-6, n))
         stream = tmp_path / f"s{n}.ndjson"
-        write_stream_ndjson(stream, PairStream(times, coin_flips(1, n), coin_flips(2, n)))
+        write_stream_ndjson(stream, [PairStream(times, coin_flips(1, n), coin_flips(2, n))])
         code, peak = traced_peak(run_cli, "extract", "--method", "xor", "--stream", stream,
                                  "--out-dir", tmp_path / f"o{n}")
         assert code == 0
@@ -472,7 +548,7 @@ def test_extract_from_a_stream_holds_the_outcome_bits_alone(tmp_path):
 @pytest.mark.parametrize("method", ["xor", "vn", "peres", "pair-vn"])
 def test_extract_from_an_empty_stream_writes_no_bits(tmp_path, method):
     empty = np.zeros(0, dtype=np.uint8)
-    write_stream_ndjson(tmp_path / "empty.ndjson", PairStream(np.zeros(0), empty, empty))
+    write_stream_ndjson(tmp_path / "empty.ndjson", [PairStream(np.zeros(0), empty, empty)])
     assert run_cli("extract", "--method", method, "--stream", tmp_path / "empty.ndjson",
                    "--out-dir", tmp_path) == 0
     r = read_manifest(tmp_path)["results"]
@@ -538,7 +614,7 @@ def test_analyze_refuses_an_empty_block_list(tmp_path, capsys):
 
 def test_analyze_names_an_empty_stream(tmp_path, capsys):
     empty = np.zeros(0, dtype=np.uint8)
-    write_stream_ndjson(tmp_path / "empty.ndjson", PairStream(np.zeros(0), empty, empty))
+    write_stream_ndjson(tmp_path / "empty.ndjson", [PairStream(np.zeros(0), empty, empty)])
     assert run_cli("analyze", "--stream", tmp_path / "empty.ndjson",
                    "--out-dir", tmp_path / "out") == 2
     err = capsys.readouterr().err
@@ -878,7 +954,8 @@ def _hostile_files(tmp_path):
              "padded": tmp_path / "padded.bits"}
     write_bits(files["bits"], bits)
     files["padded"].write_bytes(b"#bits=3\n\xff")
-    write_stream_ndjson(files["stream"], PairStream(np.arange(8.0), bits.to_array(), bits.to_array()))
+    write_stream_ndjson(files["stream"],
+                        [PairStream(np.arange(8.0), bits.to_array(), bits.to_array())])
     for i, text in enumerate(BAD_CONFIG_TEXTS):
         files[f"cfg{i}"] = tmp_path / f"bad{i}.json"
         files[f"cfg{i}"].write_bytes(text)
@@ -972,7 +1049,7 @@ def test_any_documented_argv_ends_in_a_documented_exit_code(tmp_path, capsys, ar
     bits = coin_flips(1, 1024)
     write_bits(files["bits"], BitString.from_array(bits))
     files["bad_bits"].write_bytes(b"#bits=+4\n0110\n")
-    write_stream_ndjson(files["stream"], PairStream(np.arange(1024.0), bits, bits[::-1]))
+    write_stream_ndjson(files["stream"], [PairStream(np.arange(1024.0), bits, bits[::-1])])
     files["bad_stream"].write_text('{"t":0.5,"a":0,"b":1}\n{"t":0.5,"a":1,"b":1}\n')
     files["config"].write_text('{"theta": 0.6}')
     files["bad_config"].write_bytes(BAD_CONFIG_TEXTS[0])

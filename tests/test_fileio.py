@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import read_stream_per_line
+from helpers import read_stream_per_line, traced_peak
 from qrngkit import fileio
 from qrngkit.cli import main
 from qrngkit import (
@@ -139,7 +139,7 @@ def test_stream_round_trip(tmp_path):
         np.array([1, 1, 0], dtype=np.uint8),
     )
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     back = read_stream_ndjson(p)
     assert np.array_equal(back.t, s.t)
     assert np.array_equal(back.a, s.a)
@@ -150,9 +150,29 @@ def test_stream_round_trip(tmp_path):
 def test_empty_stream_round_trip(tmp_path):
     s = PairStream(np.zeros(0), np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8))
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     assert p.read_bytes() == b""
     assert len(read_stream_ndjson(p)) == 0
+
+
+def test_stream_writer_joins_its_chunks_and_refuses_one_out_of_order(tmp_path):
+    bits = np.array([0, 1, 1, 0, 1, 0], dtype=np.uint8)
+    s = PairStream(np.arange(6.0), bits, bits[::-1])
+
+    def part(lo, hi):
+        return PairStream(s.t[lo:hi], s.a[lo:hi], s.b[lo:hi])
+
+    whole, parts = tmp_path / "whole.ndjson", tmp_path / "parts.ndjson"
+    write_stream_ndjson(whole, [s])
+    write_stream_ndjson(parts, iter([part(0, 0), part(0, 2), part(2, 2), part(2, 6)]))
+    assert parts.read_bytes() == whole.read_bytes()
+    # a chunk that starts at or before the last time written is refused, and no file is left
+    for lo in (1, 2):
+        with pytest.raises(UsageError, match="not after 2.0"):
+            write_stream_ndjson(tmp_path / "bad.ndjson", [part(0, 3), part(lo, 6)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["parts.ndjson", "whole.ndjson"]
+    with pytest.raises(TypeError):  # one parameter type: a whole stream is [stream]
+        write_stream_ndjson(tmp_path / "bare.ndjson", s)
 
 
 def test_stream_reader_reports_bad_line_number(tmp_path):
@@ -206,7 +226,7 @@ def test_stream_writer_matches_json_dumps_across_chunks(tmp_path, small_chunks):
         [0.0, 5e-324, 1e-7, 0.1 + 0.2], middle, [2.0, 3.0, 1e15, 1e16, 1e22, 1.7976931348623157e308]
     ]))
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     text = p.read_bytes()
     assert text == _reference_ndjson(s)
     assert b'{"t":5e-324,' in text and b'{"t":0.30000000000000004,' in text
@@ -228,7 +248,7 @@ def test_stream_writer_spells_every_float_range_as_json_dumps(tmp_path):
     ])))
     assert len(s) > 2 * fileio._WRITE_CHUNK and np.isfinite(s.t).all()
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     assert p.read_bytes() == _reference_ndjson(s)
     assert read_stream_ndjson(p) == s
 
@@ -237,11 +257,24 @@ def test_stream_writer_respells_whole_chunks_below_the_band(tmp_path, small_chun
     s = _stream(np.concatenate([[5e-324], np.cumsum(np.full(30, 3.3e-6))]))
     assert s.t[-1] < 1e-4
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     text = p.read_bytes()
     assert text == _reference_ndjson(s)
     assert b'{"t":3.3e-06,' in text and b'e-05,"a"' in text  # repr's exponent form
     assert read_stream_ndjson(p) == s
+
+
+def test_stream_writer_respells_only_the_times_outside_the_band(tmp_path):
+    # the times increase, so repr re-spells a head and a tail of each chunk; splitting
+    # the whole chunk into tokens for one time below the band took 5 MB more
+    n, bits, peaks = fileio._WRITE_CHUNK, np.zeros(fileio._WRITE_CHUNK, np.uint8), []
+    for first in (1.0, 1e-6):
+        t = np.arange(1.0, n + 1.0)
+        t[0] = first
+        s = PairStream(t, bits, bits)
+        peaks.append(traced_peak(write_stream_ndjson, tmp_path / f"{first}.ndjson", [s])[1])
+        assert (tmp_path / f"{first}.ndjson").read_bytes() == _reference_ndjson(s)
+    assert peaks[1] < peaks[0] + 5e5, peaks
 
 
 _EDGE_TOKENS = [b"1E5", b"1e+5", b"0.5e-3", b"-0", b"123456789012345678901234567890", b"1e-400",
@@ -281,7 +314,7 @@ def test_stream_round_trip_across_chunk_boundaries(tmp_path, small_chunks):
     for n in range(13):
         s = _stream(np.arange(n) * 0.25 + 0.1)
         p = tmp_path / f"s{n}.ndjson"
-        write_stream_ndjson(p, s)
+        write_stream_ndjson(p, [s])
         assert p.read_bytes() == _reference_ndjson(s)
         assert read_stream_ndjson(p) == s
         assert read_stream_outcomes(p) == (s.plus_string(), s.times_string())
@@ -414,12 +447,12 @@ def test_failed_stream_write_leaves_no_file(tmp_path, small_chunks):
     s.b[6] = "not a bit"  # formatting fails in the second chunk
     p = tmp_path / "stream.ndjson"
     with pytest.raises(TypeError):
-        write_stream_ndjson(p, s)
+        write_stream_ndjson(p, [s])
     assert list(tmp_path.iterdir()) == []
     # an earlier file under the target name survives untouched
     p.write_bytes(b"old")
     with pytest.raises(TypeError):
-        write_stream_ndjson(p, s)
+        write_stream_ndjson(p, [s])
     assert [f.name for f in tmp_path.iterdir()] == ["stream.ndjson"]
     assert p.read_bytes() == b"old"
 
@@ -468,7 +501,7 @@ def test_stream_reader_agrees_with_per_line_oracle(tmp_path, monkeypatch, gaps, 
     monkeypatch.setattr(fileio, "_WRITE_CHUNK", 4)
     monkeypatch.setattr(fileio, "_READ_CHUNK", read_chunk)
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, _stream(np.cumsum(gaps)))
+    write_stream_ndjson(p, [_stream(np.cumsum(gaps))])
     raw = bytearray(p.read_bytes())
     for op, where, byte in edits:  # flip, insert or delete one byte
         i = where % (len(raw) + 1)
@@ -507,7 +540,7 @@ _FLOATS_OF_EVERY_FORM = st.one_of(
 def test_stream_writer_matches_json_dumps_for_any_times(tmp_path, small_chunks, times):
     s = _stream(times)
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     assert p.read_bytes() == _reference_ndjson(s)
     assert read_stream_ndjson(p) == s
 
@@ -523,7 +556,7 @@ def no_general_path(monkeypatch):
 def test_writer_output_takes_the_fast_path(tmp_path, small_chunks, no_general_path):
     s = _stream(np.cumsum(np.random.default_rng(5).exponential(0.3, 50)))
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     assert p.stat().st_size > 10 * fileio._READ_CHUNK
     assert read_stream_ndjson(p) == s
     p.write_bytes(p.read_bytes()[:-1])  # the final line, unterminated at EOF
@@ -534,7 +567,7 @@ def test_final_line_without_newline(tmp_path, small_chunks):
     p = tmp_path / "s.ndjson"
     for n in (1, 2, 5):
         s = _stream(np.arange(n) + 0.5)
-        write_stream_ndjson(p, s)
+        write_stream_ndjson(p, [s])
         p.write_bytes(p.read_bytes()[:-1])
         assert read_stream_ndjson(p) == s
     p.write_bytes(b'{"t":0.5,"a":0,"b":0}\n{"t":1.5,"a":0,"b":2}')
@@ -622,7 +655,7 @@ def test_fast_path_form_around_a_bad_time_is_rejected(tmp_path, token):
 def test_canonical_block_after_a_crlf_block(tmp_path, small_chunks):
     s = _stream(np.arange(12) + 0.25)
     p = tmp_path / "s.ndjson"
-    write_stream_ndjson(p, s)
+    write_stream_ndjson(p, [s])
     lines = p.read_bytes().split(b"\n")
     crlf = b"\r\n".join(lines[:3]) + b"\r\n"
     p.write_bytes(crlf + b"\n".join(lines[3:]))

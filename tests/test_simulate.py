@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     arrival_times_forward,
+    pipeline_cases,
     chi2_against,
     coin_flips,
     traced_peak,
@@ -82,6 +83,14 @@ def test_stream_checks_its_order_without_a_per_record_float():
     _, peak = traced_peak(PairStream, t, bits, bits)
     # a float array of the steps between times took 8 MB; the checks' bool masks take 1 MB each
     assert peak < 2.5e6, peak
+
+
+def test_stream_checks_uint8_outcomes_without_a_mask():
+    n = 1_000_000
+    t, bits = np.arange(float(n)), np.ones(n, np.uint8)
+    _, peak = traced_peak(PairStream, t, bits, bits)
+    # (bits == 0) | (bits == 1) took a 1 MB mask more than the order check's one at a time
+    assert peak < 1.5e6, peak
 
 
 def test_stream_access():
@@ -540,27 +549,6 @@ def test_pipeline_runs_no_stage_that_is_off(monkeypatch, skewed_cfg, p_dc):
     assert np.array_equal(r.records.t, sampled.t) and np.array_equal(r.records.a, sampled.a)
     assert np.array_equal(r.records.b, sampled.b) == (p_dc == 0.0)
     assert r.dropped_dead_time == r.dropped_demon == 0
-
-
-@st.composite
-def pipeline_cases(draw):
-    """A mode, a config with each stage on or off, and the edges where chunks must carry:
-    tied times, runs of ones at theta 0 and pi/2, certain double counting, slow demons."""
-    theta = draw(st.sampled_from([0.0, math.pi / 2, math.pi / 5, 1.1]))
-    eff = [draw(st.floats(0.05, 1.0)) for _ in range(4)]
-    drift = None
-    if draw(st.booleans()):
-        amps = tuple(0.9 * min(e, 1.0 - e) for e in eff)
-        drift = DriftSpec(amps, draw(st.floats(2.0, 200.0)), (0.0, 0.5, 2.5, 0.5))
-    cfg = QrngConfig(
-        theta, *eff, drift=drift,
-        mean_pair_interval=draw(st.sampled_from([1.0, 5e-324, 1e-322])),
-        double_count_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
-        dead_time_Td=draw(st.sampled_from([0.0, 0.3, 1.5, 5e-324, 1e-321])),
-        demon_rho=draw(st.sampled_from([None, 0.5, 0.8, 0.95])),
-    )
-    mode = draw(st.sampled_from(["ideal", "physical"]))
-    return mode, cfg, draw(st.integers(1, 300)), draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=300, deadline=None)
