@@ -50,10 +50,12 @@ from .fileio import (
     write_stream_ndjson,
     write_sweep_csv,
 )
-from .simulate import _check_n, _generator, _pipeline_chunks, _tallied, demon_filter, demon_modulus
+from .simulate import _check_n, _generator, _pipeline_chunks, demon_filter, demon_modulus
 from .simulate import run_pipeline  # no command calls it; benchmarks/run.py traces cli.run_pipeline
 from .stats import (
+    CHI2_BITS_PER_CELL,
     DEFAULT_ALPHA,
+    THETA_MIN_POSITIONS,
     _check_alpha,
     borel_normality,
     chi2_uniformity,
@@ -173,8 +175,7 @@ def cmd_simulate(args) -> tuple:
     # every refusal comes from _pipeline_chunks, before main writes; the stream is drawn
     # as main writes it, which fills in the counters before main writes the manifest
     counters: dict = {}
-    chunks = _tallied(_pipeline_chunks(args.pairs, cfg, args.seed, args.mode),
-                      args.pairs, args.seed, counters)
+    chunks = _pipeline_chunks(args.pairs, cfg, args.seed, args.mode, counters)
     return (
         {"pairs": args.pairs, "seed": args.seed, "mode": args.mode, "config": cfg.to_dict()},
         counters,
@@ -244,7 +245,7 @@ def _chi2_blocks(args, n_bits: int) -> list[int]:
             return sorted({int(p) for p in args.k.split(",")})
         except ValueError:
             raise UsageError(f"cannot parse block list {args.k!r}") from None
-    return [k for k in range(1, 6) if k == 1 or n_bits >= 100 << k]
+    return [k for k in range(1, 6) if k == 1 or n_bits >= CHI2_BITS_PER_CELL << k]
 
 
 def cmd_analyze(args) -> tuple:
@@ -262,7 +263,7 @@ def cmd_analyze(args) -> tuple:
             raise UsageError(f"stream {args.stream} holds 0 records; the tests need bits")
         bits = xor_offset(x, y, 0)
         results["correlation"] = correlation_estimate(x, y)
-        if len(x) >= 10_000:
+        if len(x) >= THETA_MIN_POSITIONS:
             results["theta"] = estimate_theta(x, y).to_dict()
     else:
         bits = read_bits(args.infile)
@@ -307,11 +308,11 @@ def _parse_grid(args) -> list[float]:
 def _agreement(n: int, cfg: QrngConfig, seed: int) -> float:
     """Fraction of a run's records whose outcomes agree, a == b: one point of a sweep.
     It counts over the run's chunks, so a point holds one chunk, not its n pairs."""
-    kept = disagree = 0
-    for _, a, b, *_ in _pipeline_chunks(n, cfg, seed):
-        kept += a.size
-        disagree += int(np.count_nonzero(a ^ b))
-    return 1.0 - disagree / kept  # as 1 - mean(a ^ b), whose sum of 0s and 1s is exact
+    counters: dict = {}
+    chunks = _pipeline_chunks(n, cfg, seed, "ideal", counters)
+    # starmap keeps no chunk alive while the next one is drawn; a for loop's targets would
+    disagree = sum(itertools.starmap(lambda t, a, b: int(np.count_nonzero(a ^ b)), chunks))
+    return 1.0 - disagree / counters["kept"]  # as 1 - mean(a ^ b), whose 0s and 1s sum exactly
 
 
 def cmd_sweep(args) -> tuple:

@@ -4,11 +4,12 @@ Three routes are kept deliberately separate so they can check each other.
 The transfer route (`xor_distribution_transfer`, the one `qrngkit exact`
 uses) runs a forward recursion over the pair chains the offset XOR reads.
 The enumeration route (`joint_distribution`, `xor_distribution`) is the
-oracle: it sums per-pair weights over the full outcome space and normalizes
-by the brute total. The closed-form route (`pair_prob_table`, `marginal_bias`,
-`xor_bias`, `xor_distribution_closed_form`) evaluates the analytic formulas
-directly. Every route reads the single-pair law through this module, and
-every law function refuses a config holding a field that law does not model.
+oracle: it sums per-pair weights over the full outcome space, block by block
+into one float64 array, and normalizes by the brute total. The closed-form
+route (`pair_prob_table`, `marginal_bias`, `xor_bias`,
+`xor_distribution_closed_form`) evaluates the analytic formulas directly.
+Every route reads the single-pair law through this module, and every law
+function refuses a config holding a field that law does not model.
 
 Single-pair law
 ---------------
@@ -78,6 +79,7 @@ __all__ = [
 ENUMERATION_CAP = 12
 # No dense law is built over more than 2^22 strings (32 MB per float64 array).
 DENSE_LAW_CAP = 22
+_BLOCK_TERMS = 1 << 22  # weight terms in one block of xor_distribution's enumeration
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -305,20 +307,6 @@ def joint_distribution(n: int, cfg: QrngConfig, max_bits: int = ENUMERATION_CAP)
     return ExactDistribution(n, weights / weights.sum())
 
 
-class _KahanArray:
-    """Per-index compensated accumulator; merge order is the caller's block order."""
-
-    def __init__(self, size: int):
-        self.total = np.zeros(size)
-        self._comp = np.zeros(size)
-
-    def add(self, part: np.ndarray):
-        y = part - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-
-
 def xor_distribution(
     n: int, j: int, cfg: QrngConfig, max_bits: int = ENUMERATION_CAP
 ) -> ExactDistribution:
@@ -327,10 +315,10 @@ def xor_distribution(
     Every pair (x, y) of (n+j)-bit strings contributes its joint-law weight to
     the n-bit string z with z_i = x_i XOR y_{i+j}; x's trailing j bits and y's
     leading j bits are marginalized out. Enumeration runs over fixed-size
-    blocks of x values with compensated cross-block accumulation, so results
-    do not depend on the block partitioning. Within a block the y columns run
-    with y's leading j bits fastest, so those are summed out along the
-    contiguous axis (numpy sums that pairwise) before the sum by z.
+    blocks of x values. Within a block the y columns run with y's leading j
+    bits fastest, so those are summed out along the contiguous axis (numpy
+    sums that pairwise) before the sum by z; each block's sums by z are added
+    into one float64 array, and the law divides it by its `math.fsum`.
     """
     if n < 1:
         raise UsageError("n must be positive")
@@ -347,9 +335,8 @@ def xor_distribution(
     wtimes_cols = wtimes[y_cols]
     z_of_y = np.arange(1 << n, dtype=np.uint32)
 
-    acc = _KahanArray(1 << n)
-    block_totals = []
-    rows_per_block = max(1, (1 << 22) >> m)
+    total = np.zeros(1 << n)
+    rows_per_block = max(1, _BLOCK_TERMS >> m)  # x values per block, each 2^m terms
     for start in range(0, 1 << m, rows_per_block):
         stop = min(start + rows_per_block, 1 << m)
         d = np.bitwise_count(values[start:stop, None] ^ y_cols[None, :])
@@ -359,10 +346,8 @@ def xor_distribution(
         # into [z, r] order so the sum over rows is contiguous too
         rows = np.arange(stop - start)
         aligned = w[rows[None, :], z_of_y[:, None] ^ z_of_x[None, start:stop]]
-        acc.add(aligned.sum(axis=1))
-        block_totals.append(float(w.sum()))
-    z_total = math.fsum(block_totals)
-    return ExactDistribution(n, acc.total / z_total)
+        total += aligned.sum(axis=1)
+    return ExactDistribution(n, total / math.fsum(total))
 
 
 # --- distances and expectation curves ---------------------------------------

@@ -15,20 +15,21 @@ and double counting stage 1. The draw order is part of the contract:
 double counting, dead-time filtering, demon filtering. Every stage runs over
 chunks of at most _CHUNK records and carries O(1) state from one chunk to the
 next, so a run holds one chunk at a time, and the chunks draw exactly what one
-whole draw would. `run_pipeline` copies the kept records of each chunk into
-one set of n-long columns as it comes; `simulate` writes each chunk as it is
-drawn. Each stage after sampling returns only its decision, a new times
-column or the indices it keeps, and the kept columns are gathered once per
-chunk. The demon acts on the offset-0 XOR bit of each record, so rejected
-bits drop whole records. The public stage functions are the chunk functions
-run over one whole input.
+whole draw would. The loop that runs the stages after sampling also adds up
+their drops. `run_pipeline` copies each chunk's kept records into one set of
+n-long columns as it comes, and the samplers are `run_pipeline` with those
+stages off; `simulate` writes each chunk as it is drawn. Each stage after
+sampling returns only its decision, a new times column or the indices it
+keeps, and the kept columns are gathered once per chunk. The demon acts on
+the offset-0 XOR bit of each record, so rejected bits drop whole records. The
+public stage functions are the chunk functions run over one whole input.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +82,7 @@ def _counters(kept: int, generated: int, undetected: int, dead: int, demon: int,
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
 PAIR_CAP = 2**25  # run_pipeline holds 10 B per pair of columns, so at most about 0.34 GB
 _CHUNK = 1 << 16  # records per chunk of every stage, and per tolist() in _scalars
+_SAMPLING_ONLY = {"double_count_prob": 0.0, "dead_time_Td": 0.0, "demon_rho": None}
 
 
 def _generator(seed: int, stage: int) -> np.random.Generator:
@@ -186,29 +188,6 @@ def _sampled(n: int, cfg: QrngConfig, seed: int, mode: str):
     return chunks()
 
 
-def _tallied(chunks, n: int, seed: int, counters: dict):
-    """The (t, a, b) of ``chunks`` of (t, a, b, drops...), drops in stage order; once the
-    last is out, ``counters`` holds the counters of the run of n pairs, checked to add up."""
-    counts = [0] * 4  # records kept, then the drops by stage
-    for t, a, b, *drops in chunks:
-        for i, count in enumerate((t.size, *drops)):
-            counts[i] += count
-        yield t, a, b
-    counters.update(_counters(counts[0], n, *counts[1:], seed))
-
-
-def _gathered(chunks, n: int, seed: int) -> SimulationResult:
-    """The one result of n pairs from ``chunks``: each chunk's columns are copied as it
-    comes into one set of n-long columns, whose filled part the result keeps."""
-    counters, kept, columns = {}, 0, (np.empty(n), np.empty(n, np.uint8), np.empty(n, np.uint8))
-    for chunk in _tallied(chunks, n, seed, counters):
-        for column, part in zip(columns, chunk):
-            column[kept : kept + part.size] = part
-        kept += chunk[0].size
-    del counters["kept"]  # the result counts its records
-    return SimulationResult(PairStream(*(c[:kept] for c in columns)), **counters)
-
-
 def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     """Draw n pairs straight from the detected-pair law.
 
@@ -216,7 +195,7 @@ def sample_pairs(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
     evaluated with the efficiencies in force at the record's arrival time, so a
     configured drift shows up as a slowly wandering bias.
     """
-    return _gathered(_sampled(n, cfg, seed, "ideal"), n, seed)
+    return run_pipeline(n, replace(cfg, **_SAMPLING_ONLY), seed, "ideal")
 
 
 def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResult:
@@ -228,7 +207,7 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     keeping, outcomes follow the same law as `sample_pairs` (checked as a
     test property, not assumed here).
     """
-    return _gathered(_sampled(n, cfg, seed, "physical"), n, seed)
+    return run_pipeline(n, replace(cfg, **_SAMPLING_ONLY), seed, "physical")
 
 
 def _double_count_chunk(b: np.ndarray, swap: np.ndarray) -> np.ndarray:
@@ -386,33 +365,38 @@ def demon_filter(bits: BitString, rho: float) -> BitString:
     return BitString.from_array(arr[_demon_kept_indices(arr, rho)])
 
 
-def _pipeline_chunks(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal"):
-    """`run_pipeline`'s kept records as chunks (t, a, b, undetected, dead, demon), the
-    last three being the chunk's drops by stage. This call raises every refusal."""
-    return _filtered(_sampled(n, cfg, seed, mode), cfg, seed)
+def _pipeline_chunks(n: int, cfg: QrngConfig, seed: int, mode: str, counters: dict):
+    """`run_pipeline`'s kept records as chunks (t, a, b); once the last is out, ``counters``
+    holds the counters of the run, checked to add up. This call raises every refusal."""
+    return _filtered(_sampled(n, cfg, seed, mode), n, cfg, seed, counters)
 
 
-def _filtered(chunks, cfg: QrngConfig, seed: int):
-    """Sampled ``chunks`` through the stages after sampling, each when it is on."""
+def _filtered(chunks, n: int, cfg: QrngConfig, seed: int, counters: dict):
+    """Sampled ``chunks`` through the stages after sampling, each when it is on. The loop
+    adds up each stage's drops, and after the last chunk fills ``counters`` from them."""
     if cfg.double_count_prob > 0:
         chunks = _double_counted(chunks, cfg.double_count_prob, seed)
     dead = None
     if cfg.demon_rho is not None:
         k = demon_modulus(cfg.demon_rho)
         q = k - 1
+    kept_total = dropped_undetected = dropped_dead = dropped_demon = 0
     for t, a, b, undetected in chunks:
-        kept, dropped_dead, dropped_demon = None, 0, 0
+        dropped_undetected += undetected
+        kept = None
         if cfg.dead_time_Td > 0:
             kept, dead = _dead_time_chunk(t, cfg.dead_time_Td, dead)
-            dropped_dead = t.size - kept.size
+            dropped_dead += t.size - kept.size
         if cfg.demon_rho is not None:
             z = a ^ b if kept is None else (a ^ b)[kept]
             survivors, q = _demon_chunk(z, k, q)
-            dropped_demon = z.size - survivors.size
+            dropped_demon += z.size - survivors.size
             kept = survivors if kept is None else kept[survivors]
         if kept is not None:
             t, a, b = t[kept], a[kept], b[kept]
-        yield t, a, b, undetected, dropped_dead, dropped_demon
+        kept_total += t.size
+        yield t, a, b
+    counters.update(_counters(kept_total, n, dropped_undetected, dropped_dead, dropped_demon, seed))
 
 
 def run_pipeline(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal") -> SimulationResult:
@@ -421,6 +405,16 @@ def run_pipeline(n: int, cfg: QrngConfig, seed: int, mode: str = "ideal") -> Sim
     Stages run in a fixed order, each only when it is on: sampling (ideal or
     physical), double counting when cfg.double_count_prob > 0, dead-time
     filtering when cfg.dead_time_Td > 0, then the demon when cfg.demon_rho is
-    set. The demon reads the XOR bits of the records dead time kept.
+    set. The demon reads the XOR bits of the records dead time kept. Each chunk's
+    columns are copied as it comes into one set of n-long columns, whose filled
+    part the result keeps.
     """
-    return _gathered(_pipeline_chunks(n, cfg, seed, mode), n, seed)
+    counters: dict = {}
+    chunks = _pipeline_chunks(n, cfg, seed, mode, counters)  # refuses before the columns exist
+    kept, columns = 0, (np.empty(n), np.empty(n, np.uint8), np.empty(n, np.uint8))
+    for chunk in chunks:
+        for column, part in zip(columns, chunk):
+            column[kept : kept + part.size] = part
+        kept += chunk[0].size
+    del counters["kept"]  # the result counts its records
+    return SimulationResult(PairStream(*(c[:kept] for c in columns)), **counters)

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.01
+CHI2_BITS_PER_CELL = 100  # chi2_uniformity over k-bit blocks needs CHI2_BITS_PER_CELL << k bits
+THETA_MIN_POSITIONS = 10_000  # estimate_theta needs at least this many positions
 
 
 def _check_alpha(alpha: float) -> float:
@@ -122,15 +124,13 @@ def _chi2(counts, probs) -> tuple[float, float]:
 
 def chi2_uniformity(bits: BitString, k: int, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Chi-squared test that non-overlapping k-bit blocks are uniform: `_chi2` over 2^k
-    cells of mass 2^-k. Requires at least 100 blocks worth of bits per cell count
-    (100 * 2^k), and a significance level alpha strictly between 0 and 1."""
+    cells of mass 2^-k. Requires at least CHI2_BITS_PER_CELL << k bits, and a
+    significance level alpha strictly between 0 and 1."""
     if not 1 <= k <= 8:
         raise UsageError("block length k must lie in 1..8")
     _check_alpha(alpha)
-    if len(bits) < 100 * (1 << k):
-        raise UsageError(
-            f"need at least {100 * (1 << k)} bits for k={k}, got {len(bits)}"
-        )
+    if len(bits) < CHI2_BITS_PER_CELL << k:
+        raise UsageError(f"need at least {CHI2_BITS_PER_CELL << k} bits for k={k}, got {len(bits)}")
     stat, p = _chi2(_block_counts(bits, k), np.full(1 << k, 0.5 ** k))
     return TestReport(
         "chi2_uniformity", stat, p, p >= alpha, len(bits), {"k": k, "alpha": alpha}
@@ -182,8 +182,8 @@ def estimate_theta(x: BitString, y: BitString) -> ThetaEstimate:
     if len(x) != len(y):
         raise UsageError("need equal-length strings")
     n = len(x)
-    if n < 10_000:
-        raise UsageError("need at least 10000 positions for a stable estimate")
+    if n < THETA_MIN_POSITIONS:
+        raise UsageError(f"need at least {THETA_MIN_POSITIONS} positions for a stable estimate")
     rate = xor_offset(x, y, 0).count(1) / n
     theta = math.asin(math.sqrt(min(max(rate, 0.0), 1.0)))
     return ThetaEstimate(theta, 1.0 / (2.0 * math.sqrt(n)), n, rate in (0.0, 1.0))

@@ -592,6 +592,23 @@ def test_analyze_stream_estimates_the_angle(tmp_path):
     assert any(r[0] == "borel_normality" for r in rows)
 
 
+@pytest.mark.parametrize("records", [9_999, 10_000])
+def test_analyze_stream_reports_theta_from_its_minimum_count(tmp_path, records):
+    write_stream_ndjson(tmp_path / "s.ndjson", [PairStream(
+        np.arange(records, dtype=np.float64), coin_flips(1, records), coin_flips(2, records))])
+    assert run_cli("analyze", "--stream", tmp_path / "s.ndjson", "--out-dir", tmp_path) == 0
+    assert ("theta" in read_manifest(tmp_path)["results"]) == (records >= 10_000)
+
+
+@pytest.mark.parametrize("n_bits", [3_199, 3_200])
+def test_analyze_runs_k5_from_its_minimum_bit_count(tmp_path, n_bits):
+    write_bits(tmp_path / "z.bits", BitString.from_array(coin_flips(3, n_bits)))
+    assert run_cli("analyze", "--in", tmp_path / "z.bits", "--out-dir", tmp_path) == 0
+    _, rows = csv_rows(tmp_path / "reports.csv")
+    chi_ks = [int(r[1]) for r in rows if r[0] == "chi2_uniformity"]
+    assert chi_ks == ([1, 2, 3, 4, 5] if n_bits >= 3_200 else [1, 2, 3, 4])
+
+
 def test_analyze_rejects_unknown_test_names(tmp_path, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a statistic ran before the test names were checked")

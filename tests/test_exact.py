@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qrngkit import exact
 from qrngkit import (
     DriftSpec,
     ExactDistribution,
@@ -324,6 +325,18 @@ def test_transfer_matches_enumeration_at_random_configs():
                 got = xor_distribution_transfer(n, m - n, cfg).probs
                 want = xor_distribution(n, m - n, cfg).probs
                 assert np.abs(got - want).max() <= 1e-14, (n, m - n)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_enumeration_does_not_depend_on_its_block_partition(monkeypatch, skewed_cfg, rows):
+    # blocks of 1, 3 or 7 x values, where the default takes all 2^m at these sizes
+    for cfg in (skewed_cfg, *random_configs(3, seed=74)):
+        for m in range(1, 10):
+            monkeypatch.setattr(exact, "_BLOCK_TERMS", rows << m)
+            for n in range(1, m + 1):
+                got = xor_distribution(n, m - n, cfg).probs
+                want = xor_distribution_transfer(n, m - n, cfg).probs
+                assert np.abs(got - want).max() <= 1e-14, (cfg, n, m - n)
 
 
 def rational_xor_law(n, j, table):

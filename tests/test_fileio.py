@@ -587,6 +587,36 @@ def test_stream_reader_refuses_a_line_past_the_cap(tmp_path):
         read_stream_ndjson(p)
 
 
+def test_a_time_the_parser_hands_back_infinite_exits_4_at_its_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    # orjson refuses every non-finite number itself, so only a wrapped orjson.loads
+    # reaches the finiteness guards of the two read paths
+    import orjson
+
+    for token in (b"1e309", b"1.7976931348623159e308", b"-1e400", b"9" * 400):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(token)
+    loads = orjson.loads
+
+    def infinite_at_2_5(data):
+        # the fast path reads a block's times as one list, the general path a record a call
+        value = loads(data)
+        if isinstance(value, list):
+            return [math.inf if t == 2.5 else t for t in value]
+        if value["t"] == 2.5:
+            value["t"] = math.inf
+        return value
+
+    monkeypatch.setattr(orjson, "loads", infinite_at_2_5)
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(b'{"t":0.5,"a":0,"b":1}\n{"t":2.5,"a":1,"b":0}\n{"t":9.5,"a":0,"b":0}\n')
+    # a guard that let the time through would fail line 3 instead, as not above line 2
+    assert main(["extract", "--method", "xor", "--stream", str(p),
+                 "--out-dir", str(tmp_path / "out")]) == 4
+    assert "s.ndjson:2: expected a {t,a,b} record with a finite number t" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _DEEP = 200_000
 _GOOD, _GOOD_CRLF = b'{"t":0.5,"a":0,"b":1}\n', b'{"t": 0.5, "a": 0, "b": 1}\r\n'
 

@@ -60,3 +60,15 @@ def test_runtime_imports_are_the_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]}
     assert third_party == declared == {"numpy", "orjson"}
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # the suite runs on a newer interpreter, so the floor's grammar is checked directly:
+    # syntax that needs a later version, such as except*, fails to parse here
+    tomllib = pytest.importorskip("tomllib")
+    floor = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    version = tuple(map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups()))
+    paths = [*(ROOT / "src" / "qrngkit").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
