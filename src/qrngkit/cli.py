@@ -336,7 +336,9 @@ def cmd_sweep(args) -> tuple:
 
         # point i is keyed by seed + i alone, so the points run in forked workers in any order
         n, points = args.empirical, len(thetas)
-        workers = min(points, len(os.sched_getaffinity(0)))
+        # sched_getaffinity, the CPUs this process may run on, exists only on Linux
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(points, cpus or 1)
         cfgs = [dataclasses.replace(cfg, theta=theta) for theta in thetas]
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             # a failed point cancels the points not yet started and reaches main
@@ -357,7 +359,7 @@ def cmd_demon_demo(args) -> tuple:
     _check_n(args.n)
     k = demon_modulus(args.rho)
     rng = _generator(args.seed, 0)  # Philox key [seed, 0] draws as the bare key seed
-    source = BitString.from_array((rng.random(args.n) < 0.5).astype(np.uint8))
+    source = BitString._adopt((rng.random(args.n) < 0.5).view(np.uint8))  # fresh bools
     sieved = demon_filter(source, args.rho)
     forced = sieved.to_array()[k - 1 :: k]
     results = {

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bitstring import BitString
 from .errors import InputFormatError, UsageError
-from .streams import PairStream
+from .streams import _CHUNK, PairStream
 
 __all__ = [
     "write_bits",
@@ -117,11 +117,10 @@ def read_bits(path) -> BitString:
 # --- pair streams ----------------------------------------------------------------
 
 
-# Streams are written in chunks of _WRITE_CHUNK records, with one orjson.dumps
-# for the times, and read in blocks of _READ_CHUNK bytes of whole lines. Only
-# the general path, _parse_records, reads spaces, CRLF, other key orders and
-# blank lines, and names a bad line.
-_WRITE_CHUNK = 1 << 16
+# Streams are written in slices of _CHUNK records, one orjson.dumps for the times of
+# each (its text peaks at about 68 B a record), and read in blocks of _READ_CHUNK bytes
+# of whole lines. Only the general path, _parse_records, reads spaces, CRLF, other key
+# orders and blank lines, and names a bad line.
 _READ_CHUNK = 1 << 18
 # A writer line is under 40 bytes; the reader refuses to carry more than this
 # past the last newline, so a file without newlines cannot fill memory.
@@ -154,8 +153,8 @@ def write_stream_ndjson(path, chunks) -> Path:
             if not stream.t[0] > last:
                 raise UsageError(f"a chunk starts at {stream.t[0]}, not after {last}")
             last = stream.t[-1]
-            for lo in range(0, len(stream), _WRITE_CHUNK):
-                hi = lo + _WRITE_CHUNK
+            for lo in range(0, len(stream), _CHUNK):
+                hi = lo + _CHUNK
                 t = stream.t[lo:hi]
                 # the times increase, so those repr spells (below the band, 0 included,
                 # where the two agree, and from its top) are a head and a tail of the slice

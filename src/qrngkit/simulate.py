@@ -13,16 +13,17 @@ and double counting stage 1. The draw order is part of the contract:
 
 `run_pipeline` chains the configured imperfections in fixed order: sampling,
 double counting, dead-time filtering, demon filtering. Every stage runs over
-chunks of at most _CHUNK records and carries O(1) state from one chunk to the
-next, so a run holds one chunk at a time, and the chunks draw exactly what one
-whole draw would. The loop that runs the stages after sampling also adds up
-their drops. `run_pipeline` copies each chunk's kept records into one set of
-n-long columns as it comes, and the samplers are `run_pipeline` with those
-stages off; `simulate` writes each chunk as it is drawn. Each stage after
-sampling returns only its decision, a new times column or the indices it
-keeps, and the kept columns are gathered once per chunk. The demon acts on
-the offset-0 XOR bit of each record, so rejected bits drop whole records. The
-public stage functions are the chunk functions run over one whole input.
+chunks of at most _CHUNK records (2^14, the stream writer's slice too) and
+carries O(1) state from one chunk to the next, so a run holds one chunk at a
+time, and the chunks draw exactly what one whole draw would. The loop that
+runs the stages after sampling also adds up their drops. `run_pipeline` copies
+each chunk's kept records into one set of n-long columns as it comes, and the
+samplers are `run_pipeline` with those stages off; `simulate` writes each
+chunk as it is drawn. Each stage after sampling returns only its decision, a
+new times column or the indices it keeps, and the kept columns are gathered
+once per chunk. The demon acts on the offset-0 XOR bit of each record, so
+rejected bits drop whole records. The public stage functions are the chunk
+functions run over one whole input; the demon's runs over its chunks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .bitstring import BitString
 from .config import QrngConfig
 from .errors import ResourceBudgetError, UsageError
 from .exact import _cell_weights
-from .streams import PairStream
+from .streams import _CHUNK, PairStream
 
 __all__ = [
     "SimulationResult",
@@ -81,7 +82,6 @@ def _counters(kept: int, generated: int, undetected: int, dead: int, demon: int,
 
 _SAMPLING, _DOUBLE_COUNTING = 0, 1
 PAIR_CAP = 2**25  # run_pipeline holds 10 B per pair of columns, so at most about 0.34 GB
-_CHUNK = 1 << 16  # records per chunk of every stage, and per tolist() in _scalars
 _SAMPLING_ONLY = {"double_count_prob": 0.0, "dead_time_Td": 0.0, "demon_rho": None}
 
 
@@ -320,35 +320,49 @@ def _demon_chunk(bits: np.ndarray, k: int, q: int) -> tuple:
     """Chunk-local indices surviving the forced-zero rule of modulus k, and the q to carry.
 
     Zeros always pass. q counts the inputs still to land before the next forced
-    slot (k - 1 before the first chunk); each passing bit counts it down mod k.
-    Once a run of ones meets q = 0, the rest of the run drops on that slot and the
-    zero that ends the run fills it, so the loop steps over whole runs of ones. A
-    run cut by the chunk's end goes on as a run with no zeros before it, which
-    drops the same bits, and the zeros after the last run count down q at the end.
+    slot (k - 1 before the first chunk). Take a phase p with q = (p - i) mod k
+    before input i, p = q on entry: a run of ones [s, e) drops from offset
+    (p - s) mod k when that is below e - s, and then p = e; passing bits leave
+    p alone. A run of k - 1 or more ones leaves p = e (mod k) either way, so
+    only a run after a shorter run needs a scalar step, and at k = 2 none does.
+    A run cut by the chunk's end drops what the whole run would, as its rest
+    starts the next chunk with no zeros before it. The carry out is (p - n) mod k.
     """
     edges = np.flatnonzero(np.diff(bits.astype(bool), prepend=False, append=False))
     starts, ends = edges[0::2], edges[1::2]
-    cut_runs, cut_offsets = [], []
-    for run, (zeros, ones) in enumerate(_scalars(starts - np.append(0, ends[:-1]), ends - starts)):
-        q = (q - zeros) % k
-        if ones > q:
-            cut_runs.append(run)
-            cut_offsets.append(q)
-            q = 0
-        else:
-            q -= ones
-    q = (q - (bits.size - (int(ends[-1]) if ends.size else 0))) % k
-    # the dropped stretches are disjoint, so a running sum of +1/-1 at their ends marks them
-    marks = np.zeros(bits.size + 1, dtype=np.int8)
-    marks[starts[cut_runs] + np.array(cut_offsets, dtype=np.intp)] = 1
-    marks[ends[cut_runs]] = -1
-    return np.flatnonzero(np.cumsum(marks[:-1], dtype=np.int8) == 0), q
+    ones = ends - starts
+    # each run's offset, as if p were the end of the run before it (p on entry for the first)
+    offset = (np.append(q, ends[:-1]) - starts) % k
+    short = ones[:-1] < k - 1
+    if short.any():
+        # p after a run is s + max(offset, ones), so the next offset is that less the step
+        # between their starts; the first short run of a row keeps its offset, as top adds k
+        fresh = short & ~np.append(False, short[:-1])
+        top = np.where(fresh, np.maximum(offset[:-1], ones[:-1]) + k, ones[:-1])[short]
+        off = 0
+        offset[1:][short] = [off := ((off if off > t else t) - step) % k
+                             for t, step in _scalars(top, np.diff(starts)[short])]
+    cut = offset < ones
+    p = int(starts[-1]) + max(int(offset[-1]), int(ones[-1])) if starts.size else q
+    first = starts[cut] + offset[cut]
+    length = ends[cut] - first
+    # the dropped stretches are disjoint, so the r-th dropped input is r plus the first
+    # of its stretch less the lengths of the stretches before it
+    keep = np.ones(bits.size, dtype=bool)
+    keep[np.arange(length.sum()) + np.repeat(first - np.cumsum(length) + length, length)] = False
+    return np.flatnonzero(keep), (p - bits.size) % k
 
 
 def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
-    """Input indices surviving the forced-zero rule of budget rho."""
+    """Input indices surviving the forced-zero rule of budget rho, found a chunk at a time
+    into one n-long column, so the run-length columns stay chunk-sized."""
     k = demon_modulus(rho)
-    return _demon_chunk(bits, k, k - 1)[0]
+    kept, q, n = np.empty(bits.size, dtype=np.intp), k - 1, 0
+    for lo in range(0, bits.size, _CHUNK):
+        survivors, q = _demon_chunk(bits[lo : lo + _CHUNK], k, q)
+        kept[n : n + survivors.size] = survivors + lo
+        n += survivors.size
+    return kept[:n]
 
 
 def demon_filter(bits: BitString, rho: float) -> BitString:
@@ -362,7 +376,7 @@ def demon_filter(bits: BitString, rho: float) -> BitString:
     ends there.
     """
     arr = bits.to_array()
-    return BitString.from_array(arr[_demon_kept_indices(arr, rho)])
+    return BitString._adopt(arr[_demon_kept_indices(arr, rho)])  # fresh, 0/1 as arr is
 
 
 def _pipeline_chunks(n: int, cfg: QrngConfig, seed: int, mode: str, counters: dict):

@@ -304,6 +304,12 @@ def test_simulate_holds_one_chunk_whatever_its_pair_count(tmp_path):
     assert (peaks[1] - peaks[0]) / 800_000 < 1, peaks
 
 
+def test_simulate_peaks_at_a_few_small_chunks(tmp_path):
+    code, peak = traced_peak(run_cli, "simulate", "--pairs", 1_000_000, "--out-dir", tmp_path)
+    # chunks and writer slices of 2^16 records peaked at 10.6 MB, 2^14 at about 3 MB
+    assert code == 0 and peak < 4e6, peak
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pipeline_cases(), st.sampled_from([1, 3, 64]))
@@ -778,6 +784,25 @@ def test_a_sweep_point_holds_one_chunk_whatever_its_pair_count():
         peaks.append(traced_peak(cli._agreement, n, cfg, 1)[1])
     # whole columns took about 32 B per pair, 64 MB at the larger count
     assert peaks[1] < peaks[0] + 3e6, peaks
+
+
+def test_a_sweep_point_peaks_at_a_few_small_chunks():
+    cfg = QrngConfig.from_dict(IMPERFECT_CONFIG)
+    cli._agreement(1_000, cfg, 1)  # numpy imports part of its random state on first use
+    peak = traced_peak(cli._agreement, 2**20, cfg, 1)[1]
+    # 2^16-record chunks peaked at 9.6 MB, about 150 B a record; 2^14 at about 2.4 MB
+    assert peak < 3e6, peak
+
+
+def test_sweep_runs_where_the_cpu_affinity_call_is_missing(tmp_path, monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere the pool sizes itself by cpu_count
+    config = tmp_path / "imperfect.json"
+    config.write_text(json.dumps(IMPERFECT_CONFIG))
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert run_cli("sweep", "--grid", "0:pi/2:5", "--empirical", 20_000, "--config", config,
+                   "--out-dir", tmp_path / "out") == 0
+    sweep = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
+    assert sweep == RUN_DIGESTS["sweep", "sweep.csv"]
 
 
 def test_sweep_needs_a_grid(tmp_path):

@@ -212,7 +212,7 @@ def _reference_ndjson(stream) -> bytes:
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Chunks of 4 records when writing and about 64 bytes (3 lines) when reading."""
-    monkeypatch.setattr(fileio, "_WRITE_CHUNK", 4)
+    monkeypatch.setattr(fileio, "_CHUNK", 4)
     monkeypatch.setattr(fileio, "_READ_CHUNK", 64)
 
 
@@ -221,7 +221,7 @@ def test_stream_writer_matches_json_dumps_across_chunks(tmp_path, small_chunks):
     # repr to exponent form; 5e-324 is the smallest subnormal; 2.0, 3.0 and
     # 1e15 are integral floats, written with a trailing ".0".
     rng = np.random.default_rng(3)
-    middle = 0.1 + 0.2 + np.cumsum(rng.exponential(1e-6, 5 * fileio._WRITE_CHUNK))
+    middle = 0.1 + 0.2 + np.cumsum(rng.exponential(1e-6, 5 * fileio._CHUNK))
     s = _stream(np.concatenate([
         [0.0, 5e-324, 1e-7, 0.1 + 0.2], middle, [2.0, 3.0, 1e15, 1e16, 1e22, 1.7976931348623157e308]
     ]))
@@ -246,7 +246,7 @@ def test_stream_writer_spells_every_float_range_as_json_dumps(tmp_path):
     s = _stream(np.unique(np.concatenate([
         [0.0], patterns, in_band, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)
     ])))
-    assert len(s) > 2 * fileio._WRITE_CHUNK and np.isfinite(s.t).all()
+    assert len(s) > 2 * fileio._CHUNK and np.isfinite(s.t).all()
     p = tmp_path / "s.ndjson"
     write_stream_ndjson(p, [s])
     assert p.read_bytes() == _reference_ndjson(s)
@@ -267,7 +267,7 @@ def test_stream_writer_respells_whole_chunks_below_the_band(tmp_path, small_chun
 def test_stream_writer_respells_only_the_times_outside_the_band(tmp_path):
     # the times increase, so repr re-spells a head and a tail of each chunk; splitting
     # the whole chunk into tokens for one time below the band took 5 MB more
-    n, bits, peaks = fileio._WRITE_CHUNK, np.zeros(fileio._WRITE_CHUNK, np.uint8), []
+    n, bits, peaks = fileio._CHUNK, np.zeros(fileio._CHUNK, np.uint8), []
     for first in (1.0, 1e-6):
         t = np.arange(1.0, n + 1.0)
         t[0] = first
@@ -498,7 +498,7 @@ def _agree_with_oracle(path):
                                 st.sampled_from(_EDIT_BYTES)), min_size=1, max_size=3),
        read_chunk=st.sampled_from([16, 64, 200]))
 def test_stream_reader_agrees_with_per_line_oracle(tmp_path, monkeypatch, gaps, edits, read_chunk):
-    monkeypatch.setattr(fileio, "_WRITE_CHUNK", 4)
+    monkeypatch.setattr(fileio, "_CHUNK", 4)
     monkeypatch.setattr(fileio, "_READ_CHUNK", read_chunk)
     p = tmp_path / "s.ndjson"
     write_stream_ndjson(p, [_stream(np.cumsum(gaps))])

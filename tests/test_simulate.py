@@ -419,12 +419,80 @@ def test_demon_input_may_end_inside_a_dropped_run():
     assert np.array_equal(kept, np.arange(7))
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.95])
+def test_demon_filter_holds_one_index_column_and_a_chunk(rho):
+    bits = BitString.from_array(coin_flips(44, 1 << 20))
+    _, peak = traced_peak(demon_filter, bits, rho)
+    # the kept indices take 8 B a bit; run-length columns of the whole input took 15-19 B
+    assert peak < 10 * len(bits), peak
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.booleans(), max_size=80),
        st.one_of(st.sampled_from(DEMON_BUDGETS), st.floats(0.01, 0.999)))
 def test_demon_property(bits, rho):
     bits = np.asarray(bits, dtype=np.uint8)
     assert np.array_equal(_demon_kept_indices(bits, rho), demon_kept_loop(bits, rho))
+
+
+def _pieces(rng, n):
+    """[lo, hi) pieces that cover range(n) in order, 0- and 1-record pieces among them."""
+    cuts = [0]
+    while cuts[-1] < n:
+        cuts.append(min(n, cuts[-1] + int(rng.choice([0, 1, rng.integers(2, 40)]))))
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _carried(stage, column, state, pieces):
+    """``stage`` over ``column`` piece by piece, each call taking the state the last left:
+    the kept indices of the whole column, and the state after the last piece."""
+    kept = [np.empty(0, np.intp)]
+    for lo, hi in pieces:
+        survivors, state = stage(column[lo:hi], state)
+        kept.append(survivors + lo)
+    return np.concatenate(kept), state
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 1000])
+def test_demon_chunks_with_the_carry_equal_one_whole_call(k):
+    def stage(bits, q):
+        return simulate._demon_chunk(bits, k, q)
+
+    rng = np.random.default_rng(k)
+    for trial in range(300):
+        p = (1.0, rng.uniform(0.5, 1.0), rng.uniform())[trial % 3]  # long runs, then mixed
+        bits = (rng.random(int(rng.integers(0, 300))) < p).astype(np.uint8)
+        whole = stage(bits, k - 1)
+        carried = _carried(stage, bits, k - 1, _pieces(rng, bits.size))
+        assert np.array_equal(carried[0], whole[0]) and carried[1] == whole[1]
+    # a run of ones after five zeros drops from the first forced slot it meets
+    bits = np.r_[np.zeros(5), np.ones(2_000)].astype(np.uint8)
+    whole = stage(bits, k - 1)
+    dropped = np.setdiff1d(np.arange(bits.size), whole[0])
+    for cut in (int(dropped[0]) + 1, int(dropped[-1])):  # splits inside the dropped run
+        assert cut in dropped and cut - 1 in dropped
+        carried = _carried(stage, bits, k - 1, [(0, cut), (cut, cut), (cut, bits.size)])
+        assert np.array_equal(carried[0], whole[0]) and carried[1] == whole[1]
+
+
+@pytest.mark.parametrize("T_d", [0.3, 1.0, 5.0])
+def test_dead_time_chunks_with_the_carry_equal_one_whole_call(T_d):
+    def stage(t, carry):
+        return simulate._dead_time_chunk(t, T_d, carry)
+
+    rng = np.random.default_rng(int(10 * T_d))
+    for _ in range(300):
+        t = np.cumsum(rng.exponential(1.0, int(rng.integers(0, 300))))
+        whole = stage(t, None)
+        carried = _carried(stage, t, None, _pieces(rng, t.size))
+        assert np.array_equal(carried[0], whole[0]) and carried[1] == whole[1]
+    t = np.arange(40) * (T_d / 3)  # gaps of T_d / 3: each kept record drops the next few
+    whole = stage(t, None)
+    dropped = np.setdiff1d(np.arange(t.size), whole[0])
+    cut = int(dropped[1])  # a split inside a dropped run
+    assert cut - 1 in dropped
+    carried = _carried(stage, t, None, [(0, cut), (cut, cut + 1), (cut + 1, t.size)])
+    assert np.array_equal(carried[0], whole[0]) and carried[1] == whole[1]
 
 
 # --- pipeline ---------------------------------------------------------------------------
