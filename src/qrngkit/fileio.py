@@ -339,18 +339,14 @@ def write_json(path, obj) -> Path:
     return _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
 
-# Law CSVs are formatted _LAW_CHUNK rows at a time straight from the float
-# array, so a 2^22-row law never holds all its rows as Python strings.
-_LAW_CHUNK = 1 << 16
-
-
 def _write_law_csv(path, column: str, n: int, values: np.ndarray) -> Path:
     if values.ndim != 1:
         raise UsageError("law CSVs are for single-string laws")
     with _atomic_open(path) as fh:
         fh.write(f"index,bitstring,{column}\n".encode("ascii"))
-        for lo in range(0, values.size, _LAW_CHUNK):
-            rows = enumerate(values[lo : lo + _LAW_CHUNK].tolist(), lo)
+        # _CHUNK rows at a time, so a 2^22-row law never holds all its rows as strings
+        for lo in range(0, values.size, _CHUNK):
+            rows = enumerate(values[lo : lo + _CHUNK].tolist(), lo)
             fh.write("".join([f"{i},{i:0{n}b},{p!r}\n" for i, p in rows]).encode("ascii"))
     return Path(path)
 

@@ -22,8 +22,8 @@ samplers are `run_pipeline` with those stages off; `simulate` writes each
 chunk as it is drawn. Each stage after sampling returns only its decision, a
 new times column or the indices it keeps, and the kept columns are gathered
 once per chunk. The demon acts on the offset-0 XOR bit of each record, so
-rejected bits drop whole records. The public stage functions are the chunk
-functions run over one whole input; the demon's runs over its chunks.
+rejected bits drop whole records. The public stage functions run the same chunk
+functions, double counting's on one whole column and the others' on chunks by `_kept`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstring import BitString
+from .bitstring import BitString, _as_bits
 from .config import QrngConfig
 from .errors import ResourceBudgetError, UsageError
 from .exact import _cell_weights
@@ -230,9 +230,11 @@ def apply_double_counting(b: np.ndarray, p_dc: float, seed: int) -> np.ndarray:
     """
     if not 0.0 <= p_dc <= 1.0:
         raise UsageError("double-count probability must lie in [0, 1]")
-    if p_dc == 0.0 or len(b) <= 1:
+    bits = _as_bits(b, "the times column")
+    if p_dc == 0.0 or bits.size <= 1:
         return b
-    return _double_count_chunk(b, _generator(seed, _DOUBLE_COUNTING).random(len(b) - 1) < p_dc)
+    swap = _generator(seed, _DOUBLE_COUNTING).random(bits.size - 1) < p_dc
+    return _double_count_chunk(bits, swap)
 
 
 def _double_counted(chunks, p_dc: float, seed: int):
@@ -254,54 +256,58 @@ def _double_counted(chunks, p_dc: float, seed: int):
         yield held
 
 
-def _scalars(*columns):
-    """Rows of the columns as Python scalars, converted a chunk at a time to bound memory."""
-    return itertools.chain.from_iterable(  # C iterators: no Python frame per row
-        zip(*(c[lo : lo + _CHUNK].tolist() for c in columns))
-        for lo in range(0, len(columns[0]), _CHUNK))
+def _kept(step, column: np.ndarray, carry) -> np.ndarray:
+    """Indices of ``column`` kept by the carried chunk ``step``, run over _CHUNK slices
+    into one index column, so its temporaries stay chunk-sized."""
+    kept, n = np.empty(column.size, dtype=np.intp), 0
+    for lo in range(0, column.size, _CHUNK):
+        survivors, carry = step(column[lo : lo + _CHUNK], carry)
+        kept[n : n + survivors.size] = survivors + lo
+        n += survivors.size
+    return kept[:n]
 
 
-def _dead_time_chunk(t: np.ndarray, T_d: float, carry=None) -> tuple:
+def _dead_time_chunk(t: np.ndarray, T_d: float, last=None) -> tuple:
     """Chunk-local indices of the records at times ``t`` that survive a dead time T_d,
-    and the carry for the next chunk (None before the first): the time of the chunk's
-    last record, whether its gap was short, and the last kept time."""
+    and the last kept time, the carry for the next chunk (None before the first)."""
     if not t.size:
-        return np.flatnonzero(t), carry
-    before, short_before, last = carry or (None, False, t[0])
-    # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1]
-    # in floats too); a gap <= T_d after a kept record drops it. The rest follow
-    # a dropped record and loop, in runs that each start 2 after a kept record.
+        return np.flatnonzero(t), last
+    # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1] in floats
+    # too; the first's gap is to the last kept time); a gap <= T_d after a kept record
+    # drops it. The rest follow a dropped record and loop, in runs that start 2 after one.
     keep = np.empty(t.size, dtype=bool)
-    keep[0] = carry is None or t[0] - before > T_d  # the first record is always kept
+    keep[0] = last is None or t[0] - last > T_d  # the run's first record is always kept
     np.greater(np.diff(t), T_d, out=keep[1:])
     short = ~keep
     chained = np.flatnonzero(short[:-1] & short[1:]) + 1
-    if short[0] and short_before:
-        chained = np.append(0, chained)
-    run_start = np.diff(chained, prepend=-2) != 1
-    anchor = t[np.maximum(chained - 2, 0)]
+    run_start = np.diff(chained, prepend=-1) != 1
+    anchor = t[chained - 2]
     anchor[: np.searchsorted(chained, 2)] = last  # 2 after a kept record before the chunk
     revived = []
-    for i, ti, start_at, start in _scalars(chained, t[chained], anchor, run_start):
+    for i, ti, at, start in zip(*(c.tolist() for c in (chained, t[chained], anchor, run_start))):
         if start:
-            last = start_at
+            last = at
         if ti - last > T_d:
             last = ti
             revived.append(i)
     keep[revived] = True
     kept = np.flatnonzero(keep)
-    return kept, (t[-1], bool(short[-1]), t[kept[-1]] if kept.size else last)
+    return kept, t[kept[-1]] if kept.size else last
 
 
 def dead_time_filter(t: np.ndarray, T_d: float) -> np.ndarray:
     """Indices of the records at times ``t`` that survive a dead time T_d.
 
     A record closer than T_d to the last *kept* one is dropped, which makes the
-    filter idempotent; the first record is always kept.
+    filter idempotent; the first record is always kept. The times must be a 1-d
+    column of finite, non-decreasing values.
     """
     if not T_d >= 0:  # NaN included
         raise UsageError(f"dead time must be non-negative, got {T_d}")
-    return _dead_time_chunk(np.asarray(t, dtype=np.float64), T_d)[0]
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1 or not np.isfinite(t).all() or (t[1:] < t[:-1]).any():
+        raise UsageError("dead time needs a 1-d column of finite, non-decreasing times")
+    return _kept(lambda chunk, last: _dead_time_chunk(chunk, T_d, last), t, None)
 
 
 def demon_modulus(rho: float) -> int:
@@ -341,7 +347,7 @@ def _demon_chunk(bits: np.ndarray, k: int, q: int) -> tuple:
         top = np.where(fresh, np.maximum(offset[:-1], ones[:-1]) + k, ones[:-1])[short]
         off = 0
         offset[1:][short] = [off := ((off if off > t else t) - step) % k
-                             for t, step in _scalars(top, np.diff(starts)[short])]
+                             for t, step in zip(top.tolist(), np.diff(starts)[short].tolist())]
     cut = offset < ones
     p = int(starts[-1]) + max(int(offset[-1]), int(ones[-1])) if starts.size else q
     first = starts[cut] + offset[cut]
@@ -351,18 +357,6 @@ def _demon_chunk(bits: np.ndarray, k: int, q: int) -> tuple:
     keep = np.ones(bits.size, dtype=bool)
     keep[np.arange(length.sum()) + np.repeat(first - np.cumsum(length) + length, length)] = False
     return np.flatnonzero(keep), (p - bits.size) % k
-
-
-def _demon_kept_indices(bits: np.ndarray, rho: float) -> np.ndarray:
-    """Input indices surviving the forced-zero rule of budget rho, found a chunk at a time
-    into one n-long column, so the run-length columns stay chunk-sized."""
-    k = demon_modulus(rho)
-    kept, q, n = np.empty(bits.size, dtype=np.intp), k - 1, 0
-    for lo in range(0, bits.size, _CHUNK):
-        survivors, q = _demon_chunk(bits[lo : lo + _CHUNK], k, q)
-        kept[n : n + survivors.size] = survivors + lo
-        n += survivors.size
-    return kept[:n]
 
 
 def demon_filter(bits: BitString, rho: float) -> BitString:
@@ -375,8 +369,9 @@ def demon_filter(bits: BitString, rho: float) -> BitString:
     the input runs out while a forced slot waits for a zero, the output simply
     ends there.
     """
-    arr = bits.to_array()
-    return BitString._adopt(arr[_demon_kept_indices(arr, rho)])  # fresh, 0/1 as arr is
+    k, arr = demon_modulus(rho), bits.to_array()
+    kept = _kept(lambda chunk, q: _demon_chunk(chunk, k, q), arr, k - 1)
+    return BitString._adopt(arr[kept])  # fresh, 0/1 as arr is
 
 
 def _pipeline_chunks(n: int, cfg: QrngConfig, seed: int, mode: str, counters: dict):

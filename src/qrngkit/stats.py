@@ -18,6 +18,7 @@ from .bitstring import BitString
 from .exact import ExactDistribution, _check_dense
 from .errors import UsageError
 from .extractors import xor_offset
+from .streams import _CHUNK
 
 __all__ = [
     "TestReport",
@@ -78,19 +79,15 @@ class ThetaEstimate:
         return asdict(self)
 
 
-# Blocks are valued and counted _COUNT_SLICE at a time, so the int64 temporaries of
-# the product hold one slice, not 8 B or more for every block.
-_COUNT_SLICE = 1 << 16
-
-
 def _block_counts(bits: BitString, k: int) -> np.ndarray:
     """Counts of the 2^k values of the non-overlapping k-bit blocks, leftovers dropped."""
     blocks = len(bits) // k
     arr = bits.to_array()[: blocks * k].reshape(blocks, k)
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
     counts = np.zeros(1 << k, dtype=np.int64)
-    for lo in range(0, blocks, _COUNT_SLICE):
-        counts += np.bincount(arr[lo : lo + _COUNT_SLICE] @ weights, minlength=1 << k)
+    # a chunk at a time, so the int64 temporaries of the product hold one chunk of blocks
+    for lo in range(0, blocks, _CHUNK):
+        counts += np.bincount(arr[lo : lo + _CHUNK] @ weights, minlength=1 << k)
     return counts
 
 

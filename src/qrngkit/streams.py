@@ -14,7 +14,7 @@ from .errors import UsageError
 
 __all__ = ["PairStream"]
 
-# Records per chunk of the simulator's stages and of the stream writer's slices: the
+# Records, law rows or counted blocks per chunk of every chunked loop in the package: the
 # size never reaches the output bytes, and 2^14 ran as fast as 2^16 at a quarter the peak
 _CHUNK = 1 << 14
 

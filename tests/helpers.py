@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qrngkit import DriftSpec, InputFormatError, PairStream, QrngConfig, demon_modulus
 from qrngkit.exact import _cell_weights
-from qrngkit.simulate import _DOUBLE_COUNTING, _SAMPLING, _generator
+from qrngkit.simulate import _DOUBLE_COUNTING, _SAMPLING, _demon_chunk, _generator, _kept
 from qrngkit.stats import _chi2
 
 
@@ -73,6 +73,12 @@ def dead_time_keep_loop(t, T_d) -> np.ndarray:
             keep[i] = True
             last = t[i]
     return keep
+
+
+def demon_kept_indices(bits, rho) -> np.ndarray:
+    """Kept input indices of the demon's chunk step, run over chunks as demon_filter runs it."""
+    k = demon_modulus(rho)
+    return _kept(lambda chunk, q: _demon_chunk(chunk, k, q), bits, k - 1)
 
 
 def demon_kept_loop(bits, rho) -> np.ndarray:

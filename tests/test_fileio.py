@@ -724,7 +724,7 @@ def test_distribution_csv_contents(tmp_path):
 
 
 def test_law_csvs_match_per_row_reference_across_chunks(tmp_path, monkeypatch):
-    monkeypatch.setattr(fileio, "_LAW_CHUNK", 7)
+    monkeypatch.setattr(fileio, "_CHUNK", 7)
     n = 5
     probs = np.random.default_rng(7).random(1 << n) + 1e-3
     probs[3] = 0.0

@@ -24,6 +24,14 @@ def test_package_exports_exactly_its_modules_public_names():
             assert getattr(qrngkit, name) is getattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_every_chunked_loop_steps_by_the_one_chunk_size():
+    # records, law rows and counted blocks all go _CHUNK at a time; the reader's block is bytes
+    assert simulate._CHUNK is fileio._CHUNK is stats._CHUNK is streams._CHUNK
+    others = {f"{module.__name__}.{name}" for module in MODULES for name in vars(module)
+              if re.search("CHUNK|SLICE", name) and name != "_CHUNK"}
+    assert others == {"qrngkit.fileio._READ_CHUNK"}
+
+
 def test_every_name_the_benchmark_traces_is_a_callable(monkeypatch):
     # a renamed or deleted name would otherwise break the harness only when it runs
     monkeypatch.setattr(sys, "path", list(sys.path))  # the harness puts its own folder first

@@ -15,6 +15,7 @@ from helpers import (
     traced_peak,
     NON_BIT_ARRAYS,
     dead_time_keep_loop,
+    demon_kept_indices,
     demon_kept_loop,
     double_count_loop,
     random_configs,
@@ -39,7 +40,7 @@ from qrngkit import (
     sample_pairs_physical,
 )
 from qrngkit import simulate
-from qrngkit.simulate import _CHUNK, _demon_kept_indices, _generator
+from qrngkit.simulate import _CHUNK, _generator
 
 
 def cells(stream):
@@ -269,6 +270,15 @@ def test_double_counting_validates_probability(skewed_cfg):
         apply_double_counting(b, 1.5, seed=0)
 
 
+@pytest.mark.parametrize("p_dc", [0.0, 0.5])
+@pytest.mark.parametrize("b", [np.array([0, 2, 1], np.uint8), np.array([[0, 1], [1, 0]], np.uint8),
+                               *NON_BIT_ARRAYS])
+def test_double_counting_refuses_columns_that_are_not_bits(b, p_dc):
+    # a 2 was swapped in as an outcome, and the rows of a 2-d column as if they were records
+    with pytest.raises(UsageError, match="0/1"):
+        apply_double_counting(np.asarray(b), p_dc, seed=1)
+
+
 # --- dead time ------------------------------------------------------------------------
 
 
@@ -278,6 +288,7 @@ def test_dead_time_zero_is_identity():
 
 def test_dead_time_basic_rule():
     assert np.array_equal(dead_time_filter(np.array([0.0, 0.5, 2.0]), 1.0), [0, 2])
+    assert np.array_equal(dead_time_filter(np.array([0.0, 0.0, 1.0]), 0.5), [0, 2])  # a tie
 
 
 def test_dead_time_compares_against_kept_record():
@@ -299,6 +310,22 @@ def test_dead_time_rejects_negative():
     # every comparison with NaN is False; unrefused, it kept only the first record
     with pytest.raises(UsageError):
         dead_time_filter(np.array([0.0, 1.0, 2.0]), math.nan)
+
+
+@pytest.mark.parametrize("t", [[[0.0, 1.0], [2.0, 3.0]], [3.0, 1.0, 2.0], [0.0, math.nan],
+                               [0.0, math.inf], [-math.inf, 0.0]])
+def test_dead_time_refuses_times_it_would_misread(t):
+    # a 2-d column ended in a numpy error, and times out of order kept a wrong subset
+    with pytest.raises(UsageError, match="finite, non-decreasing"):
+        dead_time_filter(np.array(t), 0.5)
+
+
+def test_dead_time_filter_holds_one_index_column_and_a_chunk():
+    t = np.cumsum(np.random.default_rng(48).exponential(1.0, 1_000_000))
+    kept, peak = traced_peak(dead_time_filter, t, 5.0)
+    assert 0 < kept.size < t.size
+    # the kept indices take 8 MB; the fates and runs of the whole column took 34.8 MB
+    assert peak < 12_000_000, peak
 
 
 def random_times(rng, n: int, dyadic: bool) -> np.ndarray:
@@ -388,7 +415,7 @@ def test_demon_matches_the_per_bit_loop(rho):
     for trial in range(600):
         p = (0.0, 1.0, rng.uniform())[trial % 3]  # all zeros, all ones, mixed
         bits = (rng.random(int(rng.integers(0, 60))) < p).astype(np.uint8)
-        kept = _demon_kept_indices(bits, rho)
+        kept = demon_kept_indices(bits, rho)
         assert kept.dtype == np.intp
         assert np.array_equal(kept, demon_kept_loop(bits, rho))
     bits = (rng.random(50_000) < 0.5).astype(np.uint8)
@@ -400,7 +427,7 @@ def test_demon_matches_the_per_bit_loop(rho):
 @pytest.mark.parametrize("rho", [0.3, 0.5, 0.95])
 def test_demon_matches_the_per_bit_loop_over_long_runs(p, rho):
     bits = coin_flips(42, 200_000, p)  # runs of ones well past k
-    assert np.array_equal(_demon_kept_indices(bits, rho), demon_kept_loop(bits, rho))
+    assert np.array_equal(demon_kept_indices(bits, rho), demon_kept_loop(bits, rho))
 
 
 @pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001, 5000])
@@ -409,12 +436,12 @@ def test_demon_matches_the_per_bit_loop_around_a_wide_slot(n, p):
     # rho = 0.999 forces every 1000th slot, so the shorter inputs never reach one
     assert demon_modulus(0.999) == 1000
     bits = coin_flips(43, n, p)
-    assert np.array_equal(_demon_kept_indices(bits, 0.999), demon_kept_loop(bits, 0.999))
+    assert np.array_equal(demon_kept_indices(bits, 0.999), demon_kept_loop(bits, 0.999))
 
 
 def test_demon_input_may_end_inside_a_dropped_run():
     bits = np.r_[np.zeros(5), np.ones(50)].astype(np.uint8)
-    kept = _demon_kept_indices(bits, 0.7)  # k = 4: the one at input 7 meets slot 8
+    kept = demon_kept_indices(bits, 0.7)  # k = 4: the one at input 7 meets slot 8
     assert np.array_equal(kept, demon_kept_loop(bits, 0.7))
     assert np.array_equal(kept, np.arange(7))
 
@@ -432,7 +459,7 @@ def test_demon_filter_holds_one_index_column_and_a_chunk(rho):
        st.one_of(st.sampled_from(DEMON_BUDGETS), st.floats(0.01, 0.999)))
 def test_demon_property(bits, rho):
     bits = np.asarray(bits, dtype=np.uint8)
-    assert np.array_equal(_demon_kept_indices(bits, rho), demon_kept_loop(bits, rho))
+    assert np.array_equal(demon_kept_indices(bits, rho), demon_kept_loop(bits, rho))
 
 
 def _pieces(rng, n):
@@ -484,6 +511,7 @@ def test_dead_time_chunks_with_the_carry_equal_one_whole_call(T_d):
     for _ in range(300):
         t = np.cumsum(rng.exponential(1.0, int(rng.integers(0, 300))))
         whole = stage(t, None)
+        assert whole[1] == (t[whole[0][-1]] if t.size else None)  # the last kept time
         carried = _carried(stage, t, None, _pieces(rng, t.size))
         assert np.array_equal(carried[0], whole[0]) and carried[1] == whole[1]
     t = np.arange(40) * (T_d / 3)  # gaps of T_d / 3: each kept record drops the next few
@@ -493,6 +521,19 @@ def test_dead_time_chunks_with_the_carry_equal_one_whole_call(T_d):
     assert cut - 1 in dropped
     carried = _carried(stage, t, None, [(0, cut), (cut, cut + 1), (cut + 1, t.size)])
     assert np.array_equal(carried[0], whole[0]) and carried[1] == whole[1]
+
+
+def test_dead_time_carry_keeps_a_short_gap_past_the_last_kept_time():
+    # 0.5 is dropped, so 1.2, though only 0.7 after it, lies 1.2 past the last kept time
+    t = np.array([0.0, 0.5, 1.2])
+
+    def stage(t, last):
+        return simulate._dead_time_chunk(t, 1.0, last)
+
+    whole = stage(t, None)
+    carried = _carried(stage, t, None, [(0, 2), (2, 3)])
+    assert np.array_equal(whole[0], [0, 2]) and np.array_equal(carried[0], whole[0])
+    assert carried[1] == whole[1] == t[2]
 
 
 # --- pipeline ---------------------------------------------------------------------------

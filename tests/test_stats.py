@@ -131,7 +131,7 @@ def test_chi2_accepts_fair_coin_across_block_sizes():
 
 
 def test_block_counts_over_slices_equal_one_whole_bincount(monkeypatch):
-    monkeypatch.setattr(stats, "_COUNT_SLICE", 5)
+    monkeypatch.setattr(stats, "_CHUNK", 5)
     bits = coin_flips(key=17, n=8 * 16 + 7)
     for k in range(1, 9):
         for blocks in (0, 1, 4, 5, 6, 9, 10, 11, 16):  # about the slice boundaries at 5 and 10
@@ -140,6 +140,18 @@ def test_block_counts_over_slices_equal_one_whole_bincount(monkeypatch):
             whole = np.bincount(values, minlength=1 << k)
             got = stats._block_counts(bs(z), k)
             assert got.dtype == whole.dtype and np.array_equal(got, whole), (k, blocks)
+
+
+def test_block_counts_hold_one_chunk_of_blocks():
+    z = bs(coin_flips(key=98, n=999_999))
+
+    def analyze():
+        return [chi2_uniformity(z, k) for k in range(1, 6)] + borel_normality(z)
+
+    reports, peak = traced_peak(analyze)
+    assert all(r.passed for r in reports)
+    # the int64 values of 2^16 blocks of 5 bits took 3.15 MB
+    assert peak < 1_500_000, peak
 
 
 def test_chi2_to_dict_round_trip():
