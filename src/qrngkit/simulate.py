@@ -2,14 +2,16 @@
 
 Randomness comes from numpy's Philox counter-based generator keyed by the
 two words [seed, stage], so identical (n, cfg, seed) always reproduce the
-same stream byte for byte, and no stage of one seed shares a key with any
-stage of another. Sampling is stage 0 (the same draws as the key seed alone)
-and double counting stage 1. The draw order is part of the contract:
+same stream byte for byte, and no column of one seed shares a key with any
+column of another. Each column is drawn once, in order, from its own key;
+this layout, draw version 4, is part of the contract:
 
-* ideal mode: inter-arrival gaps, then one outcome uniform per pair;
-* physical mode: gaps, plus-context outcome uniforms, anti-correlation flip
-  uniforms, plus-detection uniforms, times-detection uniforms;
-* double counting: one uniform per record except the last.
+* [seed, 0]: the inter-arrival gaps (the same draws as the key seed alone);
+* [seed, 1]: double counting, one uniform per record except the last;
+* [seed, 2]: ideal mode's one outcome uniform per pair, or physical mode's
+  plus-context outcome uniforms;
+* [seed, 3], [seed, 4], [seed, 5]: physical mode's anti-correlation flip,
+  plus-detection and times-detection uniforms.
 
 `run_pipeline` chains the configured imperfections in fixed order: sampling,
 double counting, dead-time filtering, demon filtering. Every stage runs over
@@ -80,7 +82,11 @@ def _counters(kept: int, generated: int, undetected: int, dead: int, demon: int,
             "dropped_dead_time": dead, "dropped_demon": demon, "seed": seed}
 
 
-_SAMPLING, _DOUBLE_COUNTING = 0, 1
+_SAMPLING, _DOUBLE_COUNTING, _UNIFORMS = 0, 1, 2  # outcome uniform column c has stage 2 + c
+# The largest gap numpy's ziggurat standard_exponential returns: its tail start r plus
+# -log1p(-U) at U = 1 - 2^-53 (every other branch returns less than r), with a margin
+# for the scaling and cumsum rounding and the one-ulp tie nudges at normal magnitudes.
+_GAP_MAX = (7.69711747013104972 + 53 * math.log(2)) * (1 + 2**-20)
 PAIR_CAP = 2**25  # run_pipeline holds 10 B per pair of columns, so at most about 0.34 GB
 _SAMPLING_ONLY = {"double_count_prob": 0.0, "dead_time_Td": 0.0, "demon_rho": None}
 
@@ -100,18 +106,6 @@ def _check_n(n: int):
         raise UsageError("pair count must be positive")
     if n > PAIR_CAP:
         raise ResourceBudgetError(f"count {n} exceeds the per-run budget of {PAIR_CAP}")
-
-
-def _moved(rng: np.random.Generator, words: int) -> np.random.Generator:
-    """A copy of ``rng`` moved on by ``words`` 64-bit draws, as if it had drawn them."""
-    bits = np.random.Philox()
-    bits.state = state = rng.bit_generator.state
-    head = min(words, 4 - state["buffer_pos"])  # the words left in the buffered block
-    bits.random_raw(head)
-    if words > head:  # advance steps whole 4-word blocks and drops the buffer, now empty
-        bits.advance((words - head) // 4)
-        bits.random_raw((words - head) % 4)
-    return np.random.Generator(bits)
 
 
 def _arrivals(t: np.ndarray, scale: float, carry: tuple) -> tuple:
@@ -140,25 +134,23 @@ def _sampled(n: int, cfg: QrngConfig, seed: int, mode: str):
     """Stage 0 of ``seed`` as chunks (t, a, b, undetected): n pairs, of which physical
     mode keeps the coincident detections.
 
-    The outcome uniforms come after all n gaps, and a ziggurat gap takes a variable
-    number of words; so a first pass draws the gaps only to reach the state where the
-    uniforms begin, and the chunks draw the gaps again. The first pass also forms the
-    times, so the two refusals that depend on the draw, which both grow with the time,
-    are checked at the last time when this is called, before the first chunk.
+    The gaps come from key [seed, 0] and each outcome uniform column from its own key
+    [seed, 2 + column], so every column is drawn once, chunk by chunk. No time can pass
+    n gaps of _GAP_MAX, so the two refusals that grow with the time are checked at that
+    bound when this is called, before anything is drawn.
     """
     if mode not in ("ideal", "physical"):
         raise UsageError(f"unknown simulation mode {mode!r}")
     _check_n(n)
-    gaps, skip = _generator(seed, _SAMPLING), _generator(seed, _SAMPLING)
-    scale, scratch, carry = cfg.mean_pair_interval, np.empty(min(n, _CHUNK)), (0.0, -math.inf)
-    for lo in range(0, n, _CHUNK):
-        _, carry = _arrivals(skip.standard_exponential(out=scratch[: n - lo]), scale, carry)
-    if not math.isfinite(carry[0]):
+    gaps = _generator(seed, _SAMPLING)
+    # ideal mode reads one uniform column, physical mode four
+    uniforms = [_generator(seed, _UNIFORMS + c) for c in range(1 if mode == "ideal" else 4)]
+    scale = cfg.mean_pair_interval
+    bound = n * _GAP_MAX * scale
+    if not math.isfinite(bound):
         raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
-                         f"{cfg.mean_pair_interval} overflow float64")
-    cfg.efficiency_columns(carry[1])  # refuses a drift phase that overflows at the last time
-    # ideal mode reads one uniform column, physical mode four, each n long
-    uniforms = [_moved(skip, column * n) for column in range(1 if mode == "ideal" else 4)]
+                         f"{scale} can overflow float64")
+    cfg.efficiency_columns(bound)  # refuses a drift phase that overflows at the bound
     s = math.sin(cfg.theta) ** 2
 
     def chunks():
@@ -315,11 +307,12 @@ def demon_modulus(rho: float) -> int:
 
     The quotient is computed with a one-ulp-scale backoff so budgets like 0.8,
     whose reciprocal lands a rounding error above the exact integer 5, do not
-    get bumped to the next slot width.
+    get bumped to the next slot width. As 1/(1-rho) > 1, k is at least 2, which
+    the backoff would pull to 1 below a budget of about 1e-12.
     """
     if not 0.0 < rho < 1.0:
         raise UsageError("demon efficiency budget must lie strictly in (0, 1)")
-    return math.ceil((1.0 / (1.0 - rho)) * (1.0 - 1e-12))
+    return max(2, math.ceil((1.0 / (1.0 - rho)) * (1.0 - 1e-12)))
 
 
 def _demon_chunk(bits: np.ndarray, k: int, q: int) -> tuple:

@@ -119,24 +119,29 @@ def efficiencies_stacked(cfg, t) -> np.ndarray:
 
 
 def arrival_times_whole(n, cfg, seed):
-    """Stage 0 of ``seed``: its generator and the n arrival times it draws first, the
-    ties nudged by one running maximum over the whole column."""
-    rng = _generator(seed, _SAMPLING)
+    """The n arrival times of stage 0 of ``seed``, the ties nudged by one running maximum
+    over the whole column."""
     with np.errstate(over="ignore"):
-        times = np.cumsum(rng.exponential(cfg.mean_pair_interval, n))
+        times = np.cumsum(_generator(seed, _SAMPLING).exponential(cfg.mean_pair_interval, n))
     assert math.isfinite(times[-1]), "the sampler refuses an overflowing run"
     if (np.diff(times) <= 0.0).any():
         # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
         # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1])
         shift = np.arange(n, dtype=np.int64)
         times = (np.maximum.accumulate(times.view(np.int64) - shift) + shift).view(np.float64)
-    return rng, times
+    return times
+
+
+def uniform_columns(n, seed, count):
+    """The sampler's ``count`` outcome uniform columns of ``seed``, each n long and
+    drawn whole from its own key [seed, 2 + column]."""
+    return [_generator(seed, 2 + column).random(n) for column in range(count)]
 
 
 def sample_pairs_whole(n, cfg, seed):
     """Ideal-mode pairs with every column drawn whole: (stream, undetected)."""
-    rng, times = arrival_times_whole(n, cfg, seed)
-    u = rng.random(n)
+    times = arrival_times_whole(n, cfg, seed)
+    [u] = uniform_columns(n, seed, 1)
     c0, c1, c2, c3 = itertools.accumulate(
         _cell_weights(cfg.theta, *cfg.efficiency_columns(times)))
     x = u * c3
@@ -146,10 +151,10 @@ def sample_pairs_whole(n, cfg, seed):
 
 def sample_pairs_physical_whole(n, cfg, seed):
     """Physical-mode detections with every column drawn whole: (stream, undetected)."""
-    rng, times = arrival_times_whole(n, cfg, seed)
-    a = (rng.random(n) < 0.5).astype(np.uint8)
-    b = a ^ (rng.random(n) < math.sin(cfg.theta) ** 2).astype(np.uint8)
-    u_plus, u_times = rng.random(n), rng.random(n)
+    times = arrival_times_whole(n, cfg, seed)
+    u_a, u_flip, u_plus, u_times = uniform_columns(n, seed, 4)
+    a = (u_a < 0.5).astype(np.uint8)
+    b = a ^ (u_flip < math.sin(cfg.theta) ** 2).astype(np.uint8)
     e0p, e1p, e0t, e1t = cfg.efficiency_columns(times)
     detected = (u_plus < np.where(a == 0, e0p, e1p)) & (u_times < np.where(b == 0, e0t, e1t))
     return PairStream(times[detected], a[detected], b[detected]), n - int(detected.sum())
@@ -242,13 +247,13 @@ def pipeline_cases(draw):
 def sample_pairs_stacked(n, cfg, seed) -> PairStream:
     """Ideal-mode pairs from stacked (n, 4) cell weights and their cumsum, the oracle
     for sample_pairs."""
-    rng, times = arrival_times_whole(n, cfg, seed)
+    times = arrival_times_whole(n, cfg, seed)
     e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T
     s = math.sin(cfg.theta) ** 2
     c = math.cos(cfg.theta) ** 2
     weights = np.stack([c * e0p * e0t, s * e0p * e1t, s * e1p * e0t, c * e1p * e1t], axis=1)
     cum = np.cumsum(weights, axis=1)
-    u = rng.random(n) * cum[:, -1]
+    u = uniform_columns(n, seed, 1)[0] * cum[:, -1]
     cell = np.minimum((u[:, None] >= cum).sum(axis=1), 3)
     return PairStream(times, cell >> 1, cell & 1)
 
@@ -256,13 +261,12 @@ def sample_pairs_stacked(n, cfg, seed) -> PairStream:
 def sample_pairs_physical_stacked(n, cfg, seed) -> PairStream:
     """Detected physical-mode pairs from the (n, 4) efficiencies, the oracle for
     sample_pairs_physical."""
-    rng, times = arrival_times_whole(n, cfg, seed)
-    a = (rng.random(n) < 0.5).astype(np.uint8)
-    b = a ^ (rng.random(n) < math.sin(cfg.theta) ** 2).astype(np.uint8)
+    times = arrival_times_whole(n, cfg, seed)
+    u_a, u_flip, u_plus, u_times = uniform_columns(n, seed, 4)
+    a = (u_a < 0.5).astype(np.uint8)
+    b = a ^ (u_flip < math.sin(cfg.theta) ** 2).astype(np.uint8)
     e0p, e1p, e0t, e1t = efficiencies_stacked(cfg, times).T
-    detected = (rng.random(n) < np.where(a == 0, e0p, e1p)) & (
-        rng.random(n) < np.where(b == 0, e0t, e1t)
-    )
+    detected = (u_plus < np.where(a == 0, e0p, e1p)) & (u_times < np.where(b == 0, e0t, e1t))
     return PairStream(times[detected], a[detected], b[detected])
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -220,7 +221,7 @@ def test_simulate_demon_flag_forces_slots(tmp_path):
 
 
 def test_simulate_stream_with_every_imperfection_is_pinned(tmp_path):
-    # the stream's bytes are part of the draw contract; this digest was taken
+    # the stream's bytes are part of the draw contract (version 4); this digest was taken
     # from the per-record dead-time and demon loops and the per-column drift sin
     cfg = tmp_path / "drift.json"
     cfg.write_text(json.dumps({
@@ -234,9 +235,9 @@ def test_simulate_stream_with_every_imperfection_is_pinned(tmp_path):
         "--double-count", 0.05, "--config", cfg, "--out-dir", tmp_path,
     ) == 0
     digest = hashlib.sha256((tmp_path / "stream.ndjson").read_bytes()).hexdigest()
-    assert digest == "62d03a606726fe72dc3327f1fa0abd0a6f842069de9b2f2970e25084c75bfd51"
+    assert digest == "c4b4bb121ea3f99a2c56a5ad4631fe45140f5140a48420f4a43a7f3ccdb40277"
     r = read_manifest(tmp_path)["results"]
-    assert (r["kept"], r["dropped_dead_time"], r["dropped_demon"]) == (12146, 4594, 3260)
+    assert (r["kept"], r["dropped_dead_time"], r["dropped_demon"]) == (12219, 4594, 3187)
 
 
 def test_simulate_physical_mode_reports_losses(tmp_path):
@@ -253,7 +254,7 @@ def test_simulate_physical_mode_reports_losses(tmp_path):
 @pytest.mark.parametrize("mode", ["ideal", "physical"])
 @pytest.mark.parametrize("pairs,interval,period,words", [
     (100, 1e307, None, "overflow float64"),  # the times overflow in the second chunk
-    (60, 1e306, 1, "drift period 1"),  # the drift phase overflows in the third
+    (60, 1e304, 0.01, "drift period 0.01"),  # the drift phase overflows in the third
 ])
 def test_a_refusal_in_a_late_chunk_leaves_no_directory(tmp_path, capsys, monkeypatch, mode,
                                                        pairs, interval, period, words):
@@ -275,9 +276,9 @@ def test_a_refusal_in_a_late_chunk_leaves_no_directory(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("interval", [1.0, 5e-324])
-def test_the_first_pass_ends_at_the_last_time_written(tmp_path, monkeypatch, interval):
-    # both passes form the times by one helper; the first pass's last time is the one
-    # both refusals are checked at, so it must be the stream's last, ties nudged (5e-324)
+def test_each_gap_is_drawn_once(tmp_path, monkeypatch, interval):
+    # the refusals are checked at a bound, not at a first pass over the gaps, so each
+    # chunk's gaps are drawn and summed once, and the carry ends at the last time written
     monkeypatch.setattr(simulate, "_CHUNK", 8)
     carries, arrivals = [], simulate._arrivals
 
@@ -289,9 +290,51 @@ def test_the_first_pass_ends_at_the_last_time_written(tmp_path, monkeypatch, int
     monkeypatch.setattr(simulate, "_arrivals", recorded)
     assert run_cli("simulate", "--pairs", 100, "--mean-interval", interval,
                    "--out-dir", tmp_path) == 0
-    assert len(carries) == 2 * 13  # 13 chunks of at most 8 in each pass
-    last = read_stream_ndjson(tmp_path / "stream.ndjson").t[-1]
-    assert carries[12][1] == carries[-1][1] == last
+    assert len(carries) == 13  # 13 chunks of at most 8
+    assert carries[-1][1] == read_stream_ndjson(tmp_path / "stream.ndjson").t[-1]
+
+
+def test_a_run_whose_times_could_overflow_is_refused_before_it_draws(tmp_path, capsys):
+    # 10 gaps at this scale stay finite in practice, but not at the largest gap the
+    # sampler can draw, so the run is refused a priori
+    assert run_cli("simulate", "--pairs", 10, "--mean-interval", 1e306,
+                   "--out-dir", tmp_path / "o") == 2
+    assert "mean_pair_interval" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pipeline_cases(), st.sampled_from([None, 1e300, 1e304, 1e306]),
+       st.sampled_from([None, 1e-3]))
+def test_a_run_is_refused_before_it_draws_or_draws_only_finite_times(case, interval, period):
+    # no assertion that the bound lies above each time: at subnormal intervals the
+    # tie nudges can pass it, and there it guards nothing
+    mode, cfg, n, seed = case
+    if interval is not None:
+        cfg = dataclasses.replace(cfg, mean_pair_interval=interval)
+    if period is not None and cfg.drift is not None:
+        cfg = dataclasses.replace(cfg, drift=dataclasses.replace(cfg.drift, period=period))
+    drawn, arrivals = [], simulate._arrivals
+
+    def recorded(t, scale, carry):
+        t, carry = arrivals(t, scale, carry)
+        drawn.append(t.copy())
+        return t, carry
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_arrivals", recorded)
+        patch.setattr(simulate, "_CHUNK", 64)
+        try:
+            chunks = simulate._pipeline_chunks(n, cfg, seed, mode, {})
+        except UsageError:
+            assert drawn == []
+            return
+        for _ in chunks:
+            pass
+    assert sum(t.size for t in drawn) == n
+    for t in drawn:
+        assert np.isfinite(t).all()
+        assert all(np.isfinite(e).all() for e in cfg.efficiency_columns(t))
 
 
 def test_simulate_holds_one_chunk_whatever_its_pair_count(tmp_path):
@@ -424,23 +467,23 @@ def test_extract_peres_packed_output(tmp_path):
 
 EXTRACT_DIGESTS = {
     ("xor", "ascii"):
-        "ad6ca20fc76d8b56df051ad403bf5918ec0d63f840715d6a73b208632b176b5f",
+        "4825f2079a9ecdfce7720c31175b88bdcd671ccace494e5a312ce2ac262c02a3",
     ("xor", "packed"):
-        "96e30e6b292a64eb84b5fc22ab0db9bc3b6a2cda447848cb63e2a67990a3a680",
+        "d0f32511074d882f11dc38432576ce0dda5c22121d3b22725a1614600ea53d69",
     ("vn", "ascii"):
-        "dd90fd3a5c0724949e93d9135cf9be32e0150cd9f9f518556deebb08d152d9ca",
+        "921f259b3176b3f9a44418cee0d5c1167aed15f93da11166dc95d451bf278a67",
     ("vn", "packed"):
-        "7b0c1e30e89f1850acbe1eb2f598dfb01a279244f85af971c7fe87ac9a4f8dae",
+        "bd31d96ebdeb88f6f7c0a8e6d2711cc77e571cddbdd24bab5d64b3151f3a35be",
     ("peres", "ascii"):
-        "3889ecb4c3eea4bdb9346087879411ab923d4663243faa8f5bae87bab6f2511a",
+        "3d7cd57bc04ea8856a594b12e1ac20c89d638edc7a72da70f430ad14fc5fded3",
     ("peres", "packed"):
-        "46fca15b9417c137ae3dd25cc64082eb5d29a9bb3cd1f872b3e9e8b039d89f8b",
+        "1f6bf9cef9226f2c92120fd7603106269247fc493112d90dd6a57ac02c76c81d",
     ("pair-vn", "ascii"):
-        "cfb1d7a51739b23186f8c2c29b87f7514e942c8ba9d16c4deb28fc9516086fb2",
+        "56d5232997eae5e1cf4cf55a316599783179c810d4bf8ece99ea62db70b002bb",
     ("pair-vn", "packed"):
-        "0ac7c0eb84d821e2a7c8e36f1eb6651abaaf804898319eea6418ce29d0634838",
+        "43bfd418dd2c1a9ae952c56083d7aca4834b928450d9f3e1922a8507fcc4366d",
     ("analyze", "reports.json"):
-        "6153fb913fc9cd2294085f9aaba533812ce397e7ae5ca8b282637ecee70bb37d",
+        "5b321db1b3299d5268b4a0e5ce37c0a78f1a2d74ae4f520ed6e1e4454ba4bcd3",
 }
 
 
@@ -481,7 +524,7 @@ RUN_DIGESTS = {
     ("exact-10-2", "manifest.json"):
         "e3d9ce0ea595ba4bfbed68135f1e0783c2ac4973335f44abbb1d7f8895463fa3",
     ("sweep", "sweep.csv"):
-        "046dd20941a7ad3aef70a2572b3cbcac86e19d0897fde24c5c91e0238aa4af08",
+        "bce0d33d733c0a6479a56ede88f86b23de1170fa84bddbf2ffb0d4e37f248073",
     ("demon-demo", "source.bits"):
         "04926e45db7dc0216e581c07024dbfe8c071daeb0ccd04de785e5f659c3c821d",
     ("demon-demo", "sieved.bits"):
@@ -803,6 +846,15 @@ def test_sweep_runs_where_the_cpu_affinity_call_is_missing(tmp_path, monkeypatch
                    "--out-dir", tmp_path / "out") == 0
     sweep = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
     assert sweep == RUN_DIGESTS["sweep", "sweep.csv"]
+
+
+def test_a_sweep_with_a_tiny_demon_budget_keeps_records(tmp_path):
+    # below a budget of about 1e-12 the modulus's backoff pulls 1/(1 - rho) under 1; k = 1
+    # would force every slot, keep no record at theta pi/2 and divide by zero in the point
+    config = tmp_path / "cfg.json"
+    config.write_text('{"demon_rho": 1e-13}')
+    assert run_cli("sweep", "--thetas", "1.5707963267948966", "--empirical", 1000,
+                   "--config", config, "--out-dir", tmp_path / "out") == 0
 
 
 def test_sweep_needs_a_grid(tmp_path):

@@ -80,3 +80,17 @@ def test_sources_parse_at_the_declared_python_floor():
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_the_draws_do_not_reach_into_a_bit_generator():
+    # each stage and each outcome column has its own Philox key, so no source needs a
+    # generator's buffered state, and the draw contract cannot come to rest on its layout
+    reached = [(path.name, node.lineno, node.attr)
+               for path in (ROOT / "src" / "qrngkit").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("state", "advance", "random_raw")]
+    assert reached == []
+    words = [simulate._SAMPLING, simulate._DOUBLE_COUNTING,
+             *(simulate._UNIFORMS + column for column in range(4))]
+    assert len(set(words)) == len(words) == 6

@@ -367,7 +367,8 @@ def test_dead_time_property(gaps, T_d):
 def test_demon_modulus():
     # ceil of the exact quotient, immune to the reciprocal landing one ulp high
     assert [demon_modulus(r) for r in (0.5, 2 / 3, 0.7, 0.75, 0.8, 0.9)] == [2, 3, 4, 4, 5, 10]
-    assert demon_modulus(0.05) == 2  # any positive budget forces at least one slot
+    # any positive budget forces at least one slot, the tiniest too
+    assert [demon_modulus(r) for r in (0.05, 1e-13, 5e-324)] == [2, 2, 2]
     with pytest.raises(UsageError):
         demon_modulus(0.0)
     with pytest.raises(UsageError):
@@ -740,6 +741,44 @@ def test_a_million_tied_arrival_times_strictly_increase():
     # at the smallest subnormal interval nearly every gap rounds away, so ties cascade
     t = sample_pairs(1_000_000, QrngConfig(mean_pair_interval=5e-324), seed=1).records.t
     assert len(t) == 1_000_000 and (np.diff(t) > 0).all()
+
+
+def _fed(words):
+    """A generator whose next 32-bit outputs are ``words``: MT19937's state, unlike
+    Philox's, can be set word by word, and the ziggurat reads any bit generator alike."""
+    def untemper(y):
+        y ^= y >> 18
+        y ^= (y << 15) & 0xEFC60000
+        x = y
+        for _ in range(5):
+            x = y ^ ((x << 7) & 0x9D2C5680)
+        y = x & 0xFFFFFFFF
+        x = y
+        for _ in range(3):
+            x = y ^ (x >> 11)
+        return x
+
+    bits = np.random.MT19937(0)
+    state = bits.state
+    key = state["state"]["key"].copy()
+    key[624 - len(words):] = [untemper(w) for w in words]
+    state["state"] = {"key": key, "pos": 624 - len(words)}
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def test_the_largest_gap_is_the_ziggurat_tail_at_the_top_uniform():
+    # the a priori refusals rest on this bound; a numpy whose ziggurat returns more fails here
+    r = 7.69711747013104972  # the ziggurat's tail start
+    # layer 0 with its highest word (both halves alike, whichever half comes first), then
+    # the uniform 1 - 2^-53 that its tail branch turns into r - log1p(-u)
+    top = _fed([0xFFFFF807, 0xFFFFF807, 0xFFFFFFFF, 0xFFFFFFFF]).standard_exponential()
+    assert top == r - math.log1p(-(1 - 2**-53))  # r + 53 ln 2, about 44.434
+    assert top < simulate._GAP_MAX < top * (1 + 2**-19)
+    # every other layer returns less than r, even at its highest word
+    for layer in range(1, 256):
+        word = 0xFFFFF807 | layer << 3
+        assert _fed([word, word] + [0] * 6).standard_exponential() < r
 
 
 def test_seeds_past_two_to_the_63_draw_apart():
