@@ -147,7 +147,10 @@ def _sampled(n: int, cfg: QrngConfig, seed: int, mode: str):
     uniforms = [_generator(seed, _UNIFORMS + c) for c in range(1 if mode == "ideal" else 4)]
     scale = cfg.mean_pair_interval
     bound = n * _GAP_MAX * scale
-    if not math.isfinite(bound):
+    # the drift phase 2*pi*t/period outgrows t when period < 2*pi, so it overflows first
+    # and its refusal is the one made; a finite phase there means a finite time
+    phase_first = cfg.drift is not None and cfg.drift.period < 2 * math.pi
+    if not phase_first and not math.isfinite(bound):
         raise UsageError(f"arrival times of {n} pairs at mean_pair_interval "
                          f"{scale} can overflow float64")
     cfg.efficiency_columns(bound)  # refuses a drift phase that overflows at the bound

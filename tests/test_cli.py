@@ -254,7 +254,8 @@ def test_simulate_physical_mode_reports_losses(tmp_path):
 @pytest.mark.parametrize("mode", ["ideal", "physical"])
 @pytest.mark.parametrize("pairs,interval,period,words", [
     (100, 1e307, None, "overflow float64"),  # the times overflow in the second chunk
-    (60, 1e304, 0.01, "drift period 0.01"),  # the drift phase overflows in the third
+    (60, 1e306, 1, "drift period 1"),  # the drift phase overflows in the third
+    (60, 1e304, 0.01, "drift period 0.01"),  # the same, with times that stay finite at the bound
 ])
 def test_a_refusal_in_a_late_chunk_leaves_no_directory(tmp_path, capsys, monkeypatch, mode,
                                                        pairs, interval, period, words):
