@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dead-time", type=float, default=None, help="detector dead time in seconds")
     p.add_argument("--double-count", type=float, default=None, help="double-count probability")
     p.add_argument("--demon", type=float, default=None, metavar="RHO",
-                   help="apply the fair-sampling demon with budget RHO")
+                   help="apply the fair-sampling demon, keeping at least RHO of fair bits")
     _add_config_flags(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -447,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("demon-demo", help="show the fair-sampling demon on coin flips")
-    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--rho", type=float, default=0.5,
+                   help="efficiency floor: keep at least RHO of fair bits (default 0.5)")
     p.add_argument("--n", type=parse_count, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demon_demo)

@@ -19,10 +19,11 @@ which parses each line as a JSON object with orjson.loads: it reads the
 forms the format allows but the writer never emits, and it names the line
 of a bad record. orjson recurses on nesting, and a deep one overflows the C
 stack, so both paths check that no record nests (_flat) before orjson sees a
-byte. Each block's order is checked against the block before it, and an
-order error is raised only after the last block parses, so a malformed
-record anywhere is the one reported. read_stream_outcomes keeps the outcome
-columns alone. Only the stream functions import orjson.
+byte. Each block's order is checked against the block before it, and every
+defect's line is found in its block, so no input is read twice: a pipe or a
+FIFO reads as a file does. An order error is raised only after the last block
+parses, so a malformed record anywhere is the one reported. Only the stream
+functions import orjson.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -253,13 +253,6 @@ def _parses(line: bytes) -> bool:
     return True
 
 
-def _record_line(path, k: int) -> int:
-    """Line number of record k (0-based), blank lines counted."""
-    with open(path, "rb") as fh:
-        lines = (i for i, line in enumerate(fh, start=1) if line.strip())
-        return next(islice(lines, k, None))
-
-
 def _blocks(fh, path):
     """The file in runs of whole lines of about _READ_CHUNK bytes, each ending in a
     newline, as (lines before the run, blank ones included; the run)."""
@@ -285,7 +278,7 @@ def _checked_blocks(path):
     at once; the first record that is negative or not above the one before raises at its
     line only after the last block parses, so a malformed record anywhere comes first."""
     # the float just below 0: a first time lies above it exactly when it is non-negative
-    last, before, unordered = -5e-324, 0, None
+    last, unordered = -5e-324, None
     with open(path, "rb") as fh:
         for lineno, block in _blocks(fh, path):
             cols = _parse_canonical(block)
@@ -304,20 +297,28 @@ def _checked_blocks(path):
             if unordered is None and t.size:
                 in_order = t > np.append(last, t[:-1])
                 if not in_order.all():
-                    unordered = before + int(np.argmin(in_order))
+                    # record r is on the r-th non-blank line: both paths read each as one record
+                    filled = [i for i, line in enumerate(block.split(b"\n"), 1) if line.strip()]
+                    unordered = lineno + filled[int(np.argmin(in_order))]
                 last = t[-1]
-            before += t.size
             yield cols
     if unordered is not None:
-        raise InputFormatError(f"{path}:{_record_line(path, unordered)}: "
+        raise InputFormatError(f"{path}:{unordered}: "
                                "record times must be non-negative and strictly increasing")
 
 
+def _gathered(path, columns):
+    """The stream's columns at the indices ``columns`` of (t, a, b), each gathered from
+    the checked blocks as they parse into one growing bytearray that the array adopts."""
+    buffers = [bytearray() for _ in columns]
+    for cols in _checked_blocks(path):
+        for buffer, k in zip(buffers, columns):
+            buffer += cols[k].data
+    return [np.frombuffer(c, np.uint8 if k else np.float64) for c, k in zip(buffers, columns)]
+
+
 def read_stream_ndjson(path) -> PairStream:
-    chunks = list(_checked_blocks(path))
-    t, a, b = map(np.concatenate, zip(*chunks)) if chunks else (np.zeros(0),) * 3
-    del chunks  # the blocks' columns, before PairStream's checks take their own temporaries
-    return PairStream(t, a, b)
+    return PairStream(*_gathered(path, (0, 1, 2)))
 
 
 def read_stream_outcomes(path) -> tuple[BitString, BitString]:
@@ -325,11 +326,7 @@ def read_stream_outcomes(path) -> tuple[BitString, BitString]:
     read_stream_ndjson checks it. Each block's times are dropped as it parses, so
     the read holds the outcome bits alone, 2 B a record, and the strings take over
     the buffers they were gathered in."""
-    a, b = bytearray(), bytearray()
-    for _, a_block, b_block in _checked_blocks(path):
-        a += a_block.data
-        b += b_block.data
-    return tuple(BitString._adopt(np.frombuffer(c, dtype=np.uint8)) for c in (a, b))
+    return tuple(map(BitString._adopt, _gathered(path, (1, 2))))
 
 
 # --- JSON and CSV reports ---------------------------------------------------------

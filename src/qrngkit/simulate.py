@@ -25,7 +25,8 @@ chunk as it is drawn. Each stage after sampling returns only its decision, a
 new times column or the indices it keeps, and the kept columns are gathered
 once per chunk. The demon acts on the offset-0 XOR bit of each record, so
 rejected bits drop whole records. The public stage functions run the same chunk
-functions, double counting's on one whole column and the others' on chunks by `_kept`.
+functions: double counting's whole-column function runs its chunk generator on the
+column as one chunk, and the others run theirs on chunks by `_kept`.
 """
 
 from __future__ import annotations
@@ -113,20 +114,19 @@ def _arrivals(t: np.ndarray, scale: float, carry: tuple) -> tuple:
     as the exponential of that scale scales them, and the carry (the raw running sum, the
     last time given out) for the next chunk, (0.0, -inf) before the first. The times are
     the running sum of the gaps; a time that a too-short gap leaves at or below the one
-    before is set one ulp above it, so the times increase. Overflow is left to the caller."""
+    before is set one ulp above it, so the times increase."""
     total, last = carry
-    with np.errstate(over="ignore", invalid="ignore"):
-        t *= scale
-        t[0] += total  # the sum carried in, added as cumsum adds it
-        np.cumsum(t, out=t)
-        total = t[-1]
-        if t[0] <= last or (t[1:] <= t[:-1]).any():
-            # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
-            # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1]),
-            # run on from the last time given out (-inf, below every pattern, at first)
-            shift = np.arange(-1, t.size, dtype=np.int64)
-            u = np.concatenate(([last], t)).view(np.int64) - shift
-            t = (np.maximum.accumulate(u) + shift)[1:].view(np.float64)
+    t *= scale
+    t[0] += total  # the sum carried in, added as cumsum adds it
+    np.cumsum(t, out=t)
+    total = t[-1]
+    if t[0] <= last or (t[1:] <= t[:-1]).any():
+        # finite floats >= 0 order as their int64 bit patterns, and nextafter adds 1
+        # to the pattern; so with u = pattern - i the rule is u'[i] = max(u[i], u'[i-1]),
+        # run on from the last time given out (-inf, below every pattern, at first)
+        shift = np.arange(-1, t.size, dtype=np.int64)
+        u = np.concatenate(([last], t)).view(np.int64) - shift
+        t = (np.maximum.accumulate(u) + shift)[1:].view(np.float64)
     return t, (total, t[-1])
 
 
@@ -205,15 +205,6 @@ def sample_pairs_physical(n: int, cfg: QrngConfig, seed: int) -> SimulationResul
     return run_pipeline(n, replace(cfg, **_SAMPLING_ONLY), seed, "physical")
 
 
-def _double_count_chunk(b: np.ndarray, swap: np.ndarray) -> np.ndarray:
-    """A copy of ``b`` in which each record whose ``swap`` is set takes the next one's
-    outcome; a swap for the last record waits for the next chunk's first outcome."""
-    out = b.copy()
-    swap = swap[: b.size - 1]
-    out[:-1][swap] = b[1:][swap]
-    return out
-
-
 def apply_double_counting(b: np.ndarray, p_dc: float, seed: int) -> np.ndarray:
     """Times column ``b`` with each outcome replaced by the next record's, with probability p_dc.
 
@@ -226,10 +217,9 @@ def apply_double_counting(b: np.ndarray, p_dc: float, seed: int) -> np.ndarray:
     if not 0.0 <= p_dc <= 1.0:
         raise UsageError("double-count probability must lie in [0, 1]")
     bits = _as_bits(b, "the times column")
-    if p_dc == 0.0 or bits.size <= 1:
+    if p_dc == 0.0:
         return b
-    swap = _generator(seed, _DOUBLE_COUNTING).random(bits.size - 1) < p_dc
-    return _double_count_chunk(bits, swap)
+    return next(_double_counted([(None, None, bits, 0)], p_dc, seed))[2]  # one whole chunk
 
 
 def _double_counted(chunks, p_dc: float, seed: int):
@@ -240,13 +230,15 @@ def _double_counted(chunks, p_dc: float, seed: int):
         if not b.size:
             yield t, a, b, undetected
             continue
-        # the one uniform per record that the last record draws is never read
+        # a record with its swap set takes the next outcome; the last one waits for the next chunk
         swap = rng.random(b.size) < p_dc
+        out = b.copy()
+        out[:-1][swap[:-1]] = b[1:][swap[:-1]]
         if held is not None:
             if held_swap:
                 held[2][-1] = b[0]
             yield held
-        held, held_swap = (t, a, _double_count_chunk(b, swap), undetected), swap[-1]
+        held, held_swap = (t, a, out, undetected), swap[-1]
     if held is not None:
         yield held
 
@@ -358,12 +350,14 @@ def _demon_chunk(bits: np.ndarray, k: int, q: int) -> tuple:
 def demon_filter(bits: BitString, rho: float) -> BitString:
     """Reject ones so that every k-th output bit is zero, k = ceil(1/(1-rho)).
 
-    This is the fair-sampling adversary: within a rejection budget rho it
-    plants an all-zero arithmetic subsequence (output positions k, 2k, ...,
-    counting from 1) by discarding input ones that land on those slots. All
-    other bits pass through in order. The construction is deterministic. If
-    the input runs out while a forced slot waits for a zero, the output simply
-    ends there.
+    This is the fair-sampling adversary: it plants an all-zero arithmetic
+    subsequence (output positions k, 2k, ..., counting from 1) by discarding
+    input ones that land on those slots. All other bits pass through in order.
+    rho is an efficiency floor, so the rejection budget is 1 - rho: on fair
+    input each forced slot skips a geometric run of ones of mean 1, so k/(k + 1)
+    of the bits are kept, at least rho as k >= rho/(1 - rho). The construction
+    is deterministic. If the input runs out while a forced slot waits for a
+    zero, the output simply ends there.
     """
     k, arr = demon_modulus(rho), bits.to_array()
     kept = _kept(lambda chunk, q: _demon_chunk(chunk, k, q), arr, k - 1)

@@ -595,6 +595,49 @@ def test_extract_from_a_stream_holds_the_outcome_bits_alone(tmp_path):
     assert (peaks[1] - peaks[0]) / 800_000 < 4, peaks
 
 
+def _cli_on_stdin(data: bytes, *argv):
+    """The CLI in a child process with ``data`` piped to its stdin."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-m", "qrngkit.cli", *map(str, argv)], input=data,
+                          env=env, capture_output=True, timeout=120)
+
+
+_STREAM_READERS = [("analyze",), ("extract", "--method", "xor")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_every_reading_command_reads_a_pipe_as_a_file(tmp_path, capsys):
+    # a pipe can be read once only, so an error's line must be found during the one pass
+    bad = b'{"t":1.5,"a":0,"b":1}\n{"t":0.5,"a":1,"b":1}\n{"t":2.5,"a":0,"b":0}\n'
+    for command in _STREAM_READERS:
+        run = _cli_on_stdin(bad, *command, "--stream", "/dev/stdin", "--out-dir", tmp_path / "bad")
+        assert run.returncode == 4, run.stderr
+        assert (b"/dev/stdin:2: record times must be non-negative and strictly increasing"
+                in run.stderr)
+        assert not (tmp_path / "bad").exists()
+    n = 4_000
+    stream = tmp_path / "s.ndjson"
+    write_stream_ndjson(stream, [PairStream(np.arange(n) + 0.5, coin_flips(3, n), coin_flips(4, n))])
+    bits = tmp_path / "in.bits"
+    write_bits(bits, BitString.from_array(coin_flips(5, n)))
+    runs = [(*command, "--stream", stream) for command in _STREAM_READERS]
+    for i, (*command, path) in enumerate([*runs, ("extract", "--method", "vn", "--in", bits)]):
+        assert run_cli(*command, path, "--out-dir", tmp_path / f"file{i}") == 0
+        from_file = capsys.readouterr().out.encode()
+        piped = _cli_on_stdin(path.read_bytes(), *command, "/dev/stdin",
+                              "--out-dir", tmp_path / f"pipe{i}")
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == from_file
+        dirs = [tmp_path / f"{side}{i}" for side in ("file", "pipe")]
+        names = sorted(os.listdir(dirs[0]))
+        assert sorted(os.listdir(dirs[1])) == names
+        for name in names:
+            outs = [(d / name).read_bytes() for d in dirs]
+            if name == "manifest.json":  # the manifest echoes the input path
+                outs = [json.loads(m)["results"] for m in outs]
+            assert outs[1] == outs[0], name
+
+
 @pytest.mark.parametrize("method", ["xor", "vn", "peres", "pair-vn"])
 def test_extract_from_an_empty_stream_writes_no_bits(tmp_path, method):
     empty = np.zeros(0, dtype=np.uint8)

@@ -380,6 +380,31 @@ def test_a_malformed_record_in_a_later_block_is_reported_before_an_order_break(
             reader(p)
 
 
+def test_an_order_break_is_found_in_the_one_read_of_the_path(tmp_path, monkeypatch):
+    p = tmp_path / "s.ndjson"
+    p.write_bytes(b'{"t":0.5,"a":0,"b":1}\n\n{"t": 2.5, "a":0, "b":1}\n{"t":1.5,"a":0,"b":1}\n')
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(fileio, "open", counted, raising=False)
+    with pytest.raises(InputFormatError, match=r"s\.ndjson:4: record times"):
+        read_stream_ndjson(p)
+    assert opened == [p]
+
+
+def test_the_stream_reader_holds_its_columns_once(tmp_path):
+    peaks = []
+    for n in (200_000, 1_000_000):
+        p = tmp_path / f"s{n}.ndjson"
+        write_stream_ndjson(p, [_stream(np.cumsum(np.random.default_rng(n).exponential(1e-6, n)))])
+        peaks.append(traced_peak(read_stream_ndjson, p)[1])
+    # 10 B a record of columns: the gathered blocks and their concatenation took 20 B
+    assert (peaks[1] - peaks[0]) / 800_000 < 14, peaks
+
+
 @pytest.mark.parametrize("blank", range(8))
 def test_blank_line_at_every_position_near_a_chunk_boundary(tmp_path, small_chunks, blank):
     lines = [f'{{"t":{i}.5,"a":1,"b":0}}' for i in range(8)]

@@ -388,15 +388,23 @@ def test_demon_spacing_for_smaller_budget():
     assert out == BitString("1110000")
 
 
-def test_demon_on_fair_coins():
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
+def test_demon_on_fair_coins(rho):
+    n, k = 1_000_000, demon_modulus(rho)
     rng = np.random.Generator(np.random.Philox(key=21))
-    src = BitString.from_array((rng.random(1_000_000) < 0.5).astype(np.uint8))
-    out = demon_filter(src, 0.5)
+    src = BitString.from_array((rng.random(n) < 0.5).astype(np.uint8))
+    out = demon_filter(src, rho)
     arr = out.to_array()
-    assert not arr[1::2].any()  # the planted all-zero subsequence
+    assert not arr[k - 1 :: k].any()  # the planted all-zero subsequence
     rejected = 1 - len(out) / len(src)
-    assert 0.30 < rejected < 0.37
-    assert rejected < 0.5  # stays inside the efficiency budget
+    assert 1 - rejected >= rho  # rho is an efficiency floor
+    # a cycle of k - 1 free slots and one forced slot rejects a geometric run of ones
+    # (mean 1, variance 2) in k + run inputs, so the rejected fraction is 1/(k + 1)
+    # with the renewal-reward sigma (1 - r) sqrt(2 / ((k + 1) n))
+    r = 1 / (k + 1)
+    assert abs(rejected - r) < 5 * (1 - r) * math.sqrt(2 / ((k + 1) * n))
+    if rho == 0.5:
+        assert 0.30 < rejected < 0.37
 
 
 def test_demon_is_deterministic_and_validates():
@@ -627,8 +635,16 @@ def test_pipeline_builds_one_stream_from_its_chunks(monkeypatch, skewed_cfg):
 
         return call
 
-    for name in ("_double_count_chunk", "_dead_time_chunk", "_demon_chunk"):
+    for name in ("_dead_time_chunk", "_demon_chunk"):
         monkeypatch.setattr(simulate, name, recorded(name))
+    double_counted = simulate._double_counted
+
+    def counted(*args):
+        for chunk in double_counted(*args):
+            calls.append("_double_counted")
+            yield chunk
+
+    monkeypatch.setattr(simulate, "_double_counted", counted)
 
     class Spy(PairStream):
         def __init__(self, *columns):
@@ -638,7 +654,7 @@ def test_pipeline_builds_one_stream_from_its_chunks(monkeypatch, skewed_cfg):
     monkeypatch.setattr(simulate, "PairStream", Spy)
     r = run_pipeline(20_000, cfg, seed=34)
     # three chunks of 7,000 pairs: each stage runs once per chunk, and one stream is built
-    assert sorted(calls) == sorted(["_double_count_chunk", "_dead_time_chunk", "_demon_chunk"] * 3)
+    assert sorted(calls) == sorted(["_double_counted", "_dead_time_chunk", "_demon_chunk"] * 3)
     assert len(built) == 1
     assert r.records == expected.records and r.counters() == expected.counters()
 
