@@ -86,14 +86,15 @@ class QrngConfig:
                 if ep * et < sys.float_info.min:
                     raise UsageError(f"{plus} * {times} = {ep} * {et} at its lowest is "
                                      "below the smallest normal float")
-        if not self.dead_time_Td >= 0:  # NaN included
-            raise UsageError("dead_time_Td must be >= 0")
+        if not 0 <= self.dead_time_Td < math.inf:  # NaN included
+            raise UsageError("dead_time_Td must be non-negative and finite")
         if not 0 < self.mean_pair_interval < math.inf:
             raise UsageError("mean_pair_interval must be positive and finite")
         if not 0.0 <= self.double_count_prob <= 1.0:
             raise UsageError("double_count_prob must lie in [0, 1]")
         if self.demon_rho is not None and not 0.0 < self.demon_rho < 1.0:
-            raise UsageError("demon_rho must lie strictly between 0 and 1")
+            raise UsageError("demon_rho, the demon's efficiency floor, must lie strictly "
+                             f"between 0 and 1, got {self.demon_rho}")
 
     @property
     def efficiencies(self) -> tuple[float, float, float, float]:

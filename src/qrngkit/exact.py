@@ -103,7 +103,7 @@ class ExactDistribution:
     def __init__(self, n: int, probs: np.ndarray):
         if n < 1:
             raise UsageError("support length must be positive")
-        probs = np.ascontiguousarray(probs, dtype=np.float64)
+        probs = np.array(probs, dtype=np.float64, order="C")  # a copy: it is made read-only
         size = 1 << n
         if probs.shape not in ((size,), (size, size)):
             raise UsageError(f"probs shape {probs.shape} does not match n={n}")

@@ -10,9 +10,8 @@ ignored). In packed mode it is ceil(n/8) raw bytes, least significant bit
 first within each byte, zero padding in the final byte. Readers distinguish
 the modes by payload shape, which is unambiguous for n > 1.
 
-Pair streams are NDJSON, written with each time spelled as float.__repr__
-spells it: by orjson inside [1e-4, 1e16) and 0, where the two agree, and by
-repr outside it. They are read in blocks of whole lines on one of two paths.
+Pair streams are NDJSON, written with each time spelled as orjson's shortest
+round trip. They are read in blocks of whole lines on one of two paths.
 A block of the writer's exact form is checked at fixed byte offsets and its
 times parsed by one orjson.loads. Any other block takes the general path,
 which parses each line as a JSON object with orjson.loads: it reads the
@@ -122,23 +121,21 @@ def read_bits(path) -> BitString:
 # of whole lines. Only the general path, _parse_records, reads spaces, CRLF, other key
 # orders and blank lines, and names a bad line.
 _READ_CHUNK = 1 << 18
-# A writer line is under 40 bytes; the reader refuses to carry more than this
+# A writer line is at most 42 bytes; the reader refuses to carry more than this
 # past the last newline, so a file without newlines cannot fill memory.
 _LINE_CAP = 1 << 20
-# Same text as json.dumps(..., separators=(",", ":")), which spells a finite
-# float with float.__repr__; PairStream holds only finite times. orjson's
-# shortest round-trip spelling is the same token inside [_LOW, _HIGH) and for
-# 0, and differs outside (0.0000999 for 9.99e-05, 1e16 for 1e+16), where
-# times are re-spelled with repr. A record is '{"t":', its time and
-# ',"a":A,"b":B}\n'; _SEP closes one record with both digits 0 and opens the
-# next, so a chunk's text is its times joined by _SEP, and its digits are set
-# at 8 and 2 bytes before each newline.
-_LOW, _HIGH = 1e-4, 1e16
-_SEP = b',"a":0,"b":0}\n{"t":'
-# The fixed bytes of that form as (offset, byte): from the line start for
-# '{"t":', and back from the newline for the rest, skipping the two digits.
-_HEAD = tuple(enumerate(b'{"t":'))
-_TAIL = tuple((k - 13, c) for k, c in enumerate(b',"a":0,"b":0}\n') if k not in (5, 11))
+# A record is _OPEN, its time as orjson's shortest round-trip token, and _CLOSE with
+# its digits a and b set _A and _B bytes before the newline. _SEP closes one record
+# with both digits 0 and opens the next, so a slice's text is its times joined by
+# _SEP; PairStream holds only finite times, which orjson always spells.
+_OPEN, _CLOSE = b'{"t":', b',"a":0,"b":0}\n'
+_A, _B = 8, 2
+_SEP = _CLOSE + _OPEN
+# The fixed bytes of that form as (offset, byte): from the line start for _OPEN,
+# and back from the newline for _CLOSE, skipping the two digits.
+_HEAD = tuple(enumerate(_OPEN))
+_TAIL = tuple((k, c) for k, c in zip(range(1 - len(_CLOSE), 1), _CLOSE) if -k not in (_A, _B))
+_SHORTEST = len(_OPEN) + len(_CLOSE)  # a line's length before its newline, for a 1-byte token
 _BAD_RECORD = (ValueError, KeyError)
 
 
@@ -155,20 +152,12 @@ def write_stream_ndjson(path, chunks) -> Path:
             last = stream.t[-1]
             for lo in range(0, len(stream), _CHUNK):
                 hi = lo + _CHUNK
-                t = stream.t[lo:hi]
-                # the times increase, so those repr spells (below the band, 0 included,
-                # where the two agree, and from its top) are a head and a tail of the slice
-                head, tail = np.searchsorted(t, (_LOW, _HIGH)).tolist()
-                times = orjson.dumps(t[head:tail], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-                if head or tail < t.size:
-                    below, above = ([repr(x).encode("ascii") for x in c.tolist()]
-                                    for c in (t[:head], t[tail:]))
-                    times = b",".join([*below, *filter(None, [times]), *above])
-                text = bytearray().join((_SEP[-5:], times.replace(b",", _SEP), _SEP[:-5]))
+                times = orjson.dumps(stream.t[lo:hi], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+                text = bytearray().join((_OPEN, times.replace(b",", _SEP), _CLOSE))
                 digits = np.frombuffer(text, dtype=np.uint8)
                 ends = np.flatnonzero(digits == ord("\n"))
-                digits[ends - 8] += stream.a[lo:hi]
-                digits[ends - 2] += stream.b[lo:hi]
+                digits[ends - _A] += stream.a[lo:hi]
+                digits[ends - _B] += stream.b[lo:hi]
                 fh.write(text)
     return Path(path)
 
@@ -193,9 +182,9 @@ def _parse_canonical(block: bytes):
     buf = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    if (ends - starts < 19).any():  # room for the fixed bytes and a token
+    if (ends - starts < _SHORTEST).any():  # room for the fixed bytes and a token
         return None
-    a, b = buf[ends - 8] - ord("0"), buf[ends - 2] - ord("0")
+    a, b = buf[ends - _A] - ord("0"), buf[ends - _B] - ord("0")
     if (a | b).max() > 1 or not _flat(block, buf[starts].tobytes()):
         return None
     array = np.empty(buf.size + 2, dtype=np.uint8)  # '[', the edited block, ']'
@@ -208,7 +197,7 @@ def _parse_canonical(block: bytes):
             if (text[at] != c).any():
                 return None
             text[at] = ord(" ")
-    text[ends - 8] = text[ends - 2] = ord(" ")  # the digits, read above
+    text[ends - _A] = text[ends - _B] = ord(" ")  # the digits, read above
     text[ends[:-1]] = ord(",")
     try:
         t = orjson.loads(memoryview(array))

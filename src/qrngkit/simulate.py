@@ -300,13 +300,13 @@ def dead_time_filter(t: np.ndarray, T_d: float) -> np.ndarray:
 def demon_modulus(rho: float) -> int:
     """Forced-zero spacing k = ceil(1/(1-rho)).
 
-    The quotient is computed with a one-ulp-scale backoff so budgets like 0.8,
-    whose reciprocal lands a rounding error above the exact integer 5, do not
+    The quotient is computed with a one-ulp-scale backoff so floors like 0.8,
+    whose 1/(1-rho) lands a rounding error above the exact integer 5, do not
     get bumped to the next slot width. As 1/(1-rho) > 1, k is at least 2, which
-    the backoff would pull to 1 below a budget of about 1e-12.
+    the backoff would pull to 1 below a floor of about 1e-12.
     """
     if not 0.0 < rho < 1.0:
-        raise UsageError("demon efficiency budget must lie strictly in (0, 1)")
+        raise UsageError(f"demon efficiency floor rho must lie strictly between 0 and 1, got {rho}")
     return max(2, math.ceil((1.0 / (1.0 - rho)) * (1.0 - 1e-12)))
 
 

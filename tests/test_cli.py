@@ -44,8 +44,13 @@ def run_cli(*argv):
         return exc.code
 
 
+def _refuse_constant(token):
+    raise ValueError(f"manifest holds {token}, which is not JSON")
+
+
 def read_manifest(out_dir):
-    return json.loads((out_dir / "manifest.json").read_text())
+    """The manifest, read as strict JSON: NaN and Infinity are refused."""
+    return json.loads((out_dir / "manifest.json").read_text(), parse_constant=_refuse_constant)
 
 
 def csv_rows(path):
@@ -893,7 +898,7 @@ def test_sweep_runs_where_the_cpu_affinity_call_is_missing(tmp_path, monkeypatch
 
 
 def test_a_sweep_with_a_tiny_demon_budget_keeps_records(tmp_path):
-    # below a budget of about 1e-12 the modulus's backoff pulls 1/(1 - rho) under 1; k = 1
+    # below a floor of about 1e-12 the modulus's backoff pulls 1/(1 - rho) under 1; k = 1
     # would force every slot, keep no record at theta pi/2 and divide by zero in the point
     config = tmp_path / "cfg.json"
     config.write_text('{"demon_rho": 1e-13}')
@@ -942,11 +947,11 @@ def test_demon_demo_draws_the_coins_of_the_bare_seed_key(tmp_path):
 @pytest.mark.parametrize("rho", ["1.5", "nan"])
 def test_demon_demo_refuses_its_budget_before_drawing(tmp_path, monkeypatch, capsys, rho):
     def no_draw(*args):
-        raise AssertionError("coins drawn for a budget that is refused")
+        raise AssertionError("coins drawn for a floor that is refused")
 
     monkeypatch.setattr("qrngkit.cli._generator", no_draw)
     assert run_cli("demon-demo", "--rho", rho, "--n", "3e7", "--out-dir", tmp_path / "out") == 2
-    assert "demon efficiency budget" in capsys.readouterr().err
+    assert "demon efficiency floor rho must lie strictly between 0 and 1, got" in capsys.readouterr().err
 
 
 # --- shared flag handling ------------------------------------------------------------
@@ -1058,6 +1063,7 @@ HOSTILE_ARGV = [
     ("extract --method peres --depth -3 --in {bits}", 2),
     ("simulate --pairs 10 --seed -1", 2),
     ("simulate --pairs 10 --dead-time nan", 2),
+    ("simulate --pairs 10 --dead-time inf", 2),
     ("simulate --pairs 1e13", 3),
     ("exact --n 2 --equal-e", 2),
     ("exact --n 2 --max-bits -3", 2),
@@ -1077,7 +1083,7 @@ HOSTILE_ARGV = [
     *[(argv, 2) for argv in CONFLICTING_SOURCES],
     ("demon-demo --seed -1", 2),
     ("demon-demo --n 1e13", 3),
-    # the budget is refused before the coins are drawn
+    # the floor is refused before the coins are drawn
     ("demon-demo --rho 1.5", 2),
     ("demon-demo --rho nan", 2),
     *[("exact --n 2 --config {cfg%d}" % i, 4) for i in range(len(BAD_CONFIG_TEXTS))],

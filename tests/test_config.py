@@ -37,6 +37,7 @@ def test_defaults():
         {"demon_rho": 1.0},
         {"dead_time_Td": math.nan},
         {"mean_pair_interval": math.inf},
+        {"dead_time_Td": math.inf},
     ],
 )
 def test_rejects_out_of_range_fields(kwargs):

@@ -48,6 +48,14 @@ def test_distribution_must_normalize():
         ExactDistribution(0, np.array([1.0]))
 
 
+def test_distribution_leaves_the_callers_array_writeable():
+    a = np.array([0.25, 0.75])
+    law = ExactDistribution(1, a)
+    assert a.flags.writeable and not law.probs.flags.writeable
+    a[0] = 0.5
+    assert law.probs.tolist() == [0.25, 0.75]
+
+
 def test_uniform_and_bias_constructors():
     u = ExactDistribution.uniform(3)
     assert np.all(u.probs == 0.125)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -202,11 +203,11 @@ def _stream(t):
 
 
 def _reference_ndjson(stream) -> bytes:
-    """The stream text as one json.dumps call per record would write it."""
-    return "".join(
-        json.dumps({"t": float(t), "a": int(a), "b": int(b)}, separators=(",", ":")) + "\n"
+    """The stream text as one orjson.dumps call per record would write it."""
+    return b"".join(
+        orjson.dumps({"t": float(t), "a": int(a), "b": int(b)}) + b"\n"
         for t, a, b in zip(stream.t, stream.a, stream.b)
-    ).encode("ascii")
+    )
 
 
 @pytest.fixture
@@ -216,10 +217,10 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(fileio, "_READ_CHUNK", 64)
 
 
-def test_stream_writer_matches_json_dumps_across_chunks(tmp_path, small_chunks):
-    # 0.1 + 0.2 = 0.30000000000000004 needs 17 digits; 1e-7 and 1e16 switch
-    # repr to exponent form; 5e-324 is the smallest subnormal; 2.0, 3.0 and
-    # 1e15 are integral floats, written with a trailing ".0".
+def test_stream_writer_matches_per_record_orjson_across_chunks(tmp_path, small_chunks):
+    # 0.1 + 0.2 = 0.30000000000000004 needs 17 digits; orjson spells 1e-7 and 1e16
+    # in exponent form; 5e-324 is the smallest subnormal; 2.0, 3.0 and 1e15 are
+    # integral floats, written with a trailing ".0".
     rng = np.random.default_rng(3)
     middle = 0.1 + 0.2 + np.cumsum(rng.exponential(1e-6, 5 * fileio._CHUNK))
     s = _stream(np.concatenate([
@@ -230,15 +231,14 @@ def test_stream_writer_matches_json_dumps_across_chunks(tmp_path, small_chunks):
     text = p.read_bytes()
     assert text == _reference_ndjson(s)
     assert b'{"t":5e-324,' in text and b'{"t":0.30000000000000004,' in text
-    assert b'{"t":1e+16,' in text and b'{"t":2.0,' in text
+    assert b'{"t":1e16,' in text and b'{"t":2.0,' in text
     assert read_stream_ndjson(p) == s
 
 
-def test_stream_writer_spells_every_float_range_as_json_dumps(tmp_path):
-    # orjson spells times inside [1e-4, 1e16) and repr re-spells the rest; this
-    # pins that split against json.dumps over random bit patterns (mostly
-    # outside the band), times in the band, every power of ten with its
-    # neighbours, and 0, in chunks of the writer's own size
+def test_stream_writer_spells_every_float_range_as_per_record_orjson(tmp_path):
+    # the writer's one orjson.dumps per slice spells each time as orjson spells it
+    # alone: random bit patterns (spanning the exponents), times in [1e-4, 1e16),
+    # every power of ten with its neighbours, and 0, in chunks of the writer's own size
     rng = np.random.default_rng(22)
     patterns = rng.integers(1, 0x7FF0_0000_0000_0000, 1 << 17, dtype=np.uint64).view(np.float64)
     in_band = 10.0 ** rng.uniform(-4, 16, 1 << 16)
@@ -253,20 +253,20 @@ def test_stream_writer_spells_every_float_range_as_json_dumps(tmp_path):
     assert read_stream_ndjson(p) == s
 
 
-def test_stream_writer_respells_whole_chunks_below_the_band(tmp_path, small_chunks):
+def test_stream_writer_spells_whole_chunks_below_1e_4(tmp_path, small_chunks):
     s = _stream(np.concatenate([[5e-324], np.cumsum(np.full(30, 3.3e-6))]))
     assert s.t[-1] < 1e-4
     p = tmp_path / "s.ndjson"
     write_stream_ndjson(p, [s])
     text = p.read_bytes()
     assert text == _reference_ndjson(s)
-    assert b'{"t":3.3e-06,' in text and b'e-05,"a"' in text  # repr's exponent form
+    assert b'{"t":3.3e-6,' in text and b'{"t":0.0000' in text  # both of orjson's forms
     assert read_stream_ndjson(p) == s
 
 
-def test_stream_writer_respells_only_the_times_outside_the_band(tmp_path):
-    # the times increase, so repr re-spells a head and a tail of each chunk; splitting
-    # the whole chunk into tokens for one time below the band took 5 MB more
+def test_stream_writer_costs_no_more_for_a_time_below_1e_4(tmp_path):
+    # a slice holding a time below 1e-4 is spelled by the same one orjson.dumps, so it
+    # costs no more memory; splitting the slice into per-time tokens would take 5 MB more
     n, bits, peaks = fileio._CHUNK, np.zeros(fileio._CHUNK, np.uint8), []
     for first in (1.0, 1e-6):
         t = np.arange(1.0, n + 1.0)
@@ -275,6 +275,35 @@ def test_stream_writer_respells_only_the_times_outside_the_band(tmp_path):
         peaks.append(traced_peak(write_stream_ndjson, tmp_path / f"{first}.ndjson", [s])[1])
         assert (tmp_path / f"{first}.ndjson").read_bytes() == _reference_ndjson(s)
     assert peaks[1] < peaks[0] + 5e5, peaks
+
+
+def test_stream_writer_pins_orjson_edge_spellings(tmp_path):
+    # the exact tokens, so that an orjson release that spells a time otherwise fails here
+    s = _stream([0.0, 5e-324, 1e-7, 9.99e-05, 1e-4, 0.1 + 0.2, 1e15, 1e16, 1.7976931348623157e308])
+    p = tmp_path / "s.ndjson"
+    write_stream_ndjson(p, [s])
+    assert p.read_bytes() == (
+        b'{"t":0.0,"a":0,"b":0}\n'
+        b'{"t":5e-324,"a":1,"b":0}\n'
+        b'{"t":1e-7,"a":0,"b":1}\n'
+        b'{"t":0.0000999,"a":1,"b":1}\n'
+        b'{"t":0.0001,"a":0,"b":0}\n'
+        b'{"t":0.30000000000000004,"a":1,"b":0}\n'
+        b'{"t":1000000000000000.0,"a":0,"b":1}\n'
+        b'{"t":1e16,"a":1,"b":1}\n'
+        b'{"t":1.7976931348623157e308,"a":0,"b":0}\n'
+    )
+    assert read_stream_ndjson(p) == s
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_record_layout_is_the_per_record_orjson_text(a, b):
+    token = orjson.dumps(0.30000000000000004)
+    line = bytearray(fileio._OPEN + token + fileio._CLOSE)
+    line[-1 - fileio._A] += a
+    line[-1 - fileio._B] += b
+    assert bytes(line) == orjson.dumps({"t": 0.30000000000000004, "a": a, "b": b}) + b"\n"
+    assert len(fileio._OPEN + b"0" + fileio._CLOSE) - 1 == fileio._SHORTEST
 
 
 _EDGE_TOKENS = [b"1E5", b"1e+5", b"0.5e-3", b"-0", b"123456789012345678901234567890", b"1e-400",
@@ -562,7 +591,7 @@ _FLOATS_OF_EVERY_FORM = st.one_of(
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(_FLOATS_OF_EVERY_FORM, max_size=20, unique=True).map(sorted))
-def test_stream_writer_matches_json_dumps_for_any_times(tmp_path, small_chunks, times):
+def test_stream_writer_matches_per_record_orjson_for_any_times(tmp_path, small_chunks, times):
     s = _stream(times)
     p = tmp_path / "s.ndjson"
     write_stream_ndjson(p, [s])
@@ -616,8 +645,6 @@ def test_a_time_the_parser_hands_back_infinite_exits_4_at_its_line(tmp_path, cap
                                                                   monkeypatch):
     # orjson refuses every non-finite number itself, so only a wrapped orjson.loads
     # reaches the finiteness guards of the two read paths
-    import orjson
-
     for token in (b"1e309", b"1.7976931348623159e308", b"-1e400", b"9" * 400):
         with pytest.raises(orjson.JSONDecodeError):
             orjson.loads(token)
