@@ -92,9 +92,7 @@ class QrngConfig:
             raise UsageError("mean_pair_interval must be positive and finite")
         if not 0.0 <= self.double_count_prob <= 1.0:
             raise UsageError("double_count_prob must lie in [0, 1]")
-        if self.demon_rho is not None and not 0.0 < self.demon_rho < 1.0:
-            raise UsageError("demon_rho, the demon's efficiency floor, must lie strictly "
-                             f"between 0 and 1, got {self.demon_rho}")
+        _check_demon_floor(self.demon_rho)
 
     @property
     def efficiencies(self) -> tuple[float, float, float, float]:
@@ -102,21 +100,26 @@ class QrngConfig:
 
     def efficiency_columns(self, t) -> tuple:
         """The four efficiencies at time(s) ``t``: the plain floats of `efficiencies`
-        without drift, else one array shaped like ``t`` per detector. A drift
-        phase that overflows a float at some time raises UsageError."""
-        if self.drift is None:
-            return self.efficiencies
+        without drift, else arrays shaped like ``t``, one shared by the detectors of each
+        (e, A, phase). A drift phase that overflows a float at some time raises UsageError."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
-            angle = 2.0 * math.pi * np.asarray(t, dtype=np.float64) / self.drift.period
-            # one sin per distinct phase (by default all four are 0)
-            sines = {p: np.sin(angle + p) for p in set(self.drift.phases)}
-        if not all(np.isfinite(s).all() for s in sines.values()):  # sin(inf) is NaN
+            columns = self._efficiencies_at(t)
+        if not all(np.isfinite(e).all() for e in columns):  # sin(inf) is NaN
             raise UsageError(f"drift period {self.drift.period} is too short: the drift "
                              "phase 2*pi*t/period overflows a float")
-        return tuple(
-            e + a * sines[p]
-            for e, a, p in zip(self.efficiencies, self.drift.amplitudes, self.drift.phases)
-        )
+        return columns
+
+    def _efficiencies_at(self, t) -> tuple:
+        """`efficiency_columns` unrefused, for times already checked at a bound."""
+        if self.drift is None:
+            return self.efficiencies
+        angle = np.multiply(t, 2.0 * math.pi, out=np.empty(np.shape(t)))  # 0-d for a scalar
+        angle /= self.drift.period
+        # a zero phase is not added: that changes only an angle of -0.0, to the same efficiency
+        sines = {p: np.sin(angle + p if p else angle) for p in set(self.drift.phases)}
+        detectors = list(zip(self.efficiencies, self.drift.amplitudes, self.drift.phases))
+        columns = {(e, a, p): sines[p] * a + e for e, a, p in set(detectors)}
+        return tuple(columns[d] for d in detectors)
 
     # --- serialization ------------------------------------------------------
 
@@ -162,6 +165,12 @@ class QrngConfig:
             return cls.from_dict(data)
         except (ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON, bad fields
             raise InputFormatError(f"config file {path}: {exc}") from None
+
+
+def _check_demon_floor(rho: float | None):
+    """The one check of a demon efficiency floor, demon_rho's and `demon_modulus`'s."""
+    if rho is not None and not 0.0 < rho < 1.0:
+        raise UsageError(f"demon efficiency floor rho must lie strictly between 0 and 1, got {rho}")
 
 
 def _number(value, name: str):

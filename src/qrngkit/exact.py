@@ -158,12 +158,16 @@ def _check_ideal(cfg: QrngConfig):
                          + " and ".join(f"config field {f}" for f in unmodelled))
 
 
-def _cell_weights(theta: float, e0p, e1p, e0t, e1t) -> tuple:
+def _cell_weights(theta: float, e0p, e1p, e0t, e1t) -> list:
     """Unnormalized weights of the cells 00, 01, 10, 11 of one pair, at efficiencies
-    given as floats or, as the sampler passes them, as per-record columns."""
+    given as floats or, as the sampler passes them, as per-record columns; each column
+    weight is (trig * plus) * times, a new array with its second product in place."""
     s = math.sin(theta) ** 2
     c = math.cos(theta) ** 2
-    return c * e0p * e0t, s * e0p * e1t, s * e1p * e0t, c * e1p * e1t
+    w = [c * e0p, s * e0p, s * e1p, c * e1p]
+    for i, times in enumerate((e0t, e1t, e0t, e1t)):
+        w[i] *= times  # a float rebinds
+    return w
 
 
 def pair_prob_table(cfg: QrngConfig) -> np.ndarray:

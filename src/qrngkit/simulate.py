@@ -23,22 +23,23 @@ each chunk's kept records into one set of n-long columns as it comes, and the
 samplers are `run_pipeline` with those stages off; `simulate` writes each
 chunk as it is drawn. Each stage after sampling returns only its decision, a
 new times column or the indices it keeps, and the kept columns are gathered
-once per chunk. The demon acts on the offset-0 XOR bit of each record, so
+once per chunk. Drift takes one sine per distinct phase and one efficiency column
+per distinct (e, A, phase). Dead time settles a record from its gap alone unless it
+follows a dropped record; vector rounds settle such runs one record each, and the few
+runs left loop per record. The demon acts on the offset-0 XOR bit of each record, so
 rejected bits drop whole records. The public stage functions run the same chunk
-functions: double counting's whole-column function runs its chunk generator on the
-column as one chunk, and the others run theirs on chunks by `_kept`.
+functions, on the column as one chunk (double counting) or on chunks by `_kept`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bitstring import BitString, _as_bits
-from .config import QrngConfig
+from .config import QrngConfig, _check_demon_floor
 from .errors import ResourceBudgetError, UsageError
 from .exact import _cell_weights
 from .streams import _CHUNK, PairStream
@@ -161,9 +162,11 @@ def _sampled(n: int, cfg: QrngConfig, seed: int, mode: str):
         for lo in range(0, n, _CHUNK):
             t, carry = _arrivals(gaps.standard_exponential(min(_CHUNK, n - lo)), scale, carry)
             if mode == "ideal":
-                # each record's cells from the efficiencies in force at its time
-                c0, c1, c2, c3 = itertools.accumulate(
-                    _cell_weights(cfg.theta, *cfg.efficiency_columns(t)))
+                # each record's cells from the efficiencies in force at its time, summed in place
+                c0, c1, c2, c3 = _cell_weights(cfg.theta, *cfg._efficiencies_at(t))
+                c1 += c0
+                c2 += c1
+                c3 += c2
                 x = uniforms[0].random(t.size)
                 x *= c3
                 # the sums never fall, so x >= c3 only where the cell is already the top one, 3
@@ -174,7 +177,7 @@ def _sampled(n: int, cfg: QrngConfig, seed: int, mode: str):
             else:
                 a = (uniforms[0].random(t.size) < 0.5).view(np.uint8)
                 b = a ^ (uniforms[1].random(t.size) < s).view(np.uint8)
-                e0p, e1p, e0t, e1t = cfg.efficiency_columns(t)
+                e0p, e1p, e0t, e1t = cfg._efficiencies_at(t)
                 detected = uniforms[2].random(t.size) < np.where(a == 0, e0p, e1p)
                 detected &= uniforms[3].random(t.size) < np.where(b == 0, e0t, e1t)
                 undetected = t.size - int(np.count_nonzero(detected))
@@ -231,14 +234,15 @@ def _double_counted(chunks, p_dc: float, seed: int):
             yield t, a, b, undetected
             continue
         # a record with its swap set takes the next outcome; the last one waits for the next chunk
-        swap = rng.random(b.size) < p_dc
+        swaps = np.flatnonzero(rng.random(b.size) < p_dc)
+        inner = swaps[swaps < b.size - 1]
         out = b.copy()
-        out[:-1][swap[:-1]] = b[1:][swap[:-1]]
+        out[inner] = b[inner + 1]
         if held is not None:
             if held_swap:
                 held[2][-1] = b[0]
             yield held
-        held, held_swap = (t, a, out, undetected), swap[-1]
+        held, held_swap = (t, a, out, undetected), inner.size < swaps.size
     if held is not None:
         yield held
 
@@ -261,22 +265,32 @@ def _dead_time_chunk(t: np.ndarray, T_d: float, last=None) -> tuple:
         return np.flatnonzero(t), last
     # Stateless fates: a gap > T_d keeps a record (t[i] - last >= t[i] - t[i-1] in floats
     # too; the first's gap is to the last kept time); a gap <= T_d after a kept record
-    # drops it. The rest follow a dropped record and loop, in runs that start 2 after one.
+    # drops it. The rest follow a dropped record, in runs that start 2 after a kept one.
     keep = np.empty(t.size, dtype=bool)
     keep[0] = last is None or t[0] - last > T_d  # the run's first record is always kept
     np.greater(np.diff(t), T_d, out=keep[1:])
     short = ~keep
     chained = np.flatnonzero(short[:-1] & short[1:]) + 1
-    run_start = np.diff(chained, prepend=-1) != 1
-    anchor = t[chained - 2]
-    anchor[: np.searchsorted(chained, 2)] = last  # 2 after a kept record before the chunk
+    # each run [lo, hi) and its last kept time, the carry for a run that starts at 1
+    start = np.diff(chained, prepend=-1) != 1
+    lo, hi = chained[start], np.append(chained[:-1][start[1:]], chained[-1:]) + 1
+    at = t[lo - 2]
+    at[lo == 1] = last
+    # a round settles one record of each open run; below 64 runs the loop costs less
+    while lo.size >= 64:
+        ti = t[lo]
+        kept_now = ti - at > T_d
+        keep[lo[kept_now]] = True
+        at = np.where(kept_now, ti, at)
+        lo += 1 + kept_now  # the record after a kept one drops
+        open_ = lo < hi
+        lo, hi, at = lo[open_], hi[open_], at[open_]
     revived = []
-    for i, ti, at, start in zip(*(c.tolist() for c in (chained, t[chained], anchor, run_start))):
-        if start:
-            last = at
-        if ti - last > T_d:
-            last = ti
-            revived.append(i)
+    for i, end, kept_at in zip(lo.tolist(), hi.tolist(), at.tolist()):
+        for j, tj in enumerate(t[i:end].tolist(), i):
+            if tj - kept_at > T_d:
+                kept_at = tj
+                revived.append(j)
     keep[revived] = True
     kept = np.flatnonzero(keep)
     return kept, t[kept[-1]] if kept.size else last
@@ -305,8 +319,11 @@ def demon_modulus(rho: float) -> int:
     get bumped to the next slot width. As 1/(1-rho) > 1, k is at least 2, which
     the backoff would pull to 1 below a floor of about 1e-12.
     """
-    if not 0.0 < rho < 1.0:
-        raise UsageError(f"demon efficiency floor rho must lie strictly between 0 and 1, got {rho}")
+    _check_demon_floor(rho)
+    return _spacing(rho)
+
+
+def _spacing(rho: float) -> int:  # demon_modulus of a checked floor, as demon_rho is
     return max(2, math.ceil((1.0 / (1.0 - rho)) * (1.0 - 1e-12)))
 
 
@@ -377,7 +394,7 @@ def _filtered(chunks, n: int, cfg: QrngConfig, seed: int, counters: dict):
         chunks = _double_counted(chunks, cfg.double_count_prob, seed)
     dead = None
     if cfg.demon_rho is not None:
-        k = demon_modulus(cfg.demon_rho)
+        k = _spacing(cfg.demon_rho)
         q = k - 1
     kept_total = dropped_undetected = dropped_dead = dropped_demon = 0
     for t, a, b, undetected in chunks:

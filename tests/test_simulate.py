@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -183,6 +183,13 @@ def sampler_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(sampler_configs(), st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]),
        st.integers(0, 2**64 - 1))
+# e0_plus and e1_times share (e, A, phase), so they share one column
+@example(QrngConfig(math.pi / 5, 0.30, 0.33, 0.29, 0.30, drift=DriftSpec((0.02,) * 4, 1000.0)),
+         3 * _CHUNK + 7, 11)
+# four distinct phases: no sine may be taken in place while a later phase needs the angle
+@example(QrngConfig(0.7, 0.4, 0.5, 0.6, 0.7, drift=DriftSpec((0.1, 0.2, 0.3, 0.05), 50.0,
+                                                            (0.0, 0.5, 2.5, 4.0))),
+         _CHUNK + 1, 12)
 def test_samplers_equal_the_stacked_oracles(cfg, n, seed):
     assert sample_pairs(n, cfg, seed).records == sample_pairs_stacked(n, cfg, seed)
     assert sample_pairs_physical(n, cfg, seed).records == sample_pairs_physical_stacked(n, cfg, seed)
@@ -340,8 +347,9 @@ def assert_dead_time_matches_loop(t: np.ndarray, T_d: float):
     assert np.array_equal(kept, np.flatnonzero(dead_time_keep_loop(t, T_d)))
 
 
-# 0.25, 0.5 and 1.5 put t[i] - last == T_d exactly on the dyadic grid
-@pytest.mark.parametrize("T_d", [0.1, 0.3, 1.0, 3.0, math.inf, 0.25, 0.5, 1.5])
+# 0.25, 0.5 and 1.5 put t[i] - last == T_d exactly on the dyadic grid; at 5 and 50 the
+# runs after a dropped record are long, and most are left to the per-record loop
+@pytest.mark.parametrize("T_d", [0.1, 0.3, 1.0, 3.0, math.inf, 0.25, 0.5, 1.5, 0.0, 5.0, 50.0])
 def test_dead_time_matches_the_per_record_loop(T_d):
     rng = np.random.default_rng(40)
     for trial in range(600):
@@ -349,11 +357,14 @@ def test_dead_time_matches_the_per_record_loop(T_d):
             random_times(rng, int(rng.integers(0, 40)), dyadic=trial % 2 == 1), T_d
         )
     assert_dead_time_matches_loop(random_times(rng, 50_000, dyadic=False), T_d)
+    t = np.cumsum(rng.exponential(1.0, 60_000))
+    for times in (t, np.floor(t / 2), np.zeros(100)):  # the last two mostly or all tied
+        assert_dead_time_matches_loop(times, T_d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.one_of(st.integers(1, 24).map(lambda g: g / 8), st.floats(1e-6, 4.0)),
+    st.lists(st.one_of(st.integers(0, 24).map(lambda g: g / 8), st.floats(1e-6, 4.0)),
              max_size=60),
     st.one_of(st.sampled_from([0.125, 0.25, 1.0, math.inf]), st.floats(0.0, 5.0)),
 )
